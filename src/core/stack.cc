@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <unordered_map>
 
 #include "common/log.h"
 #include "core/digest.h"
@@ -327,16 +328,25 @@ TaccStack::wire_ops()
 
     // Per-tenant fair-share usage: one gauge per group, defined lazily
     // as groups first appear (snapshot order is sorted -> deterministic).
-    ops_->add_multi_source([this](ops::OpsCenter &center, TimePoint now) {
-        const double total = usage_.total_usage(now);
-        if (total <= 0)
-            return;
-        for (const auto &[group, used] : usage_.snapshot(now)) {
-            center.record_gauge(
-                std::string(ops::series::kGroupSharePrefix) + group, now,
-                used / total);
-        }
-    });
+    // Each group's id is cached, so later samples build no series name.
+    ops_->add_multi_source(
+        [this, share_ids = std::unordered_map<std::string, ops::SeriesId>()](
+            ops::OpsCenter &center, TimePoint now) mutable {
+            const double total = usage_.total_usage(now);
+            if (total <= 0)
+                return;
+            ops::MetricStore &store = center.store();
+            for (const auto &[group, used] : usage_.snapshot(now)) {
+                auto it = share_ids.find(group);
+                if (it == share_ids.end()) {
+                    const ops::SeriesId id = store.define(
+                        std::string(ops::series::kGroupSharePrefix) + group,
+                        ops::SeriesKind::kGauge);
+                    it = share_ids.emplace(group, id).first;
+                }
+                store.record(it->second, now, used / total);
+            }
+        });
 
     ops_tick_ = std::make_unique<sim::PeriodicTask>(
         sim_, config_.ops.sample_period, "ops-sample",

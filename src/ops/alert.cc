@@ -40,12 +40,8 @@ AlertEngine::aggregate(const AlertRule &rule, const MetricStore &store,
       }
       case AlertRule::Agg::kMean: {
         // No data in the window -> inert, not "mean of nothing is 0".
-        if (store.range(id, now - rule.window, now, Resolution::kRaw)
-                .empty() &&
-            store.range(id, now - rule.window, now, Resolution::kMinute)
-                .empty()) {
+        if (!store.has_data(id, now - rule.window, now))
             return std::nullopt;
-        }
         return store.mean_over(id, now, rule.window);
       }
       case AlertRule::Agg::kRate: {

@@ -17,6 +17,70 @@ bucket_start(TimePoint t, Duration bucket)
     return TimePoint::from_micros((t.to_micros() / w) * w);
 }
 
+/** Ring indices [first, last) of the entries inside a query window. */
+struct Window {
+    size_t first = 0;
+    size_t last = 0;
+
+    bool empty() const { return first == last; }
+    size_t size() const { return last - first; }
+};
+
+/**
+ * Number of leading entries of a time-sorted ring (record() keeps every
+ * ring sorted) for which `pred` holds; `pred` must hold on a prefix. A
+ * window's bounds are two such binary searches, and every query visits
+ * only the entries inside its window, oldest first: sums accumulate in
+ * the same order a full scan would.
+ */
+template <typename T, typename Pred>
+size_t
+count_prefix(const MetricRing<T> &ring, Pred pred)
+{
+    size_t lo = 0;
+    size_t hi = ring.size();
+    while (lo < hi) {
+        const size_t mid = lo + (hi - lo) / 2;
+        if (pred(ring.at(mid)))
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    return lo;
+}
+
+/** Raw samples with t in [t0, t1]. */
+Window
+raw_window(const MetricRing<MetricSample> &raw, TimePoint t0, TimePoint t1)
+{
+    const size_t first = count_prefix(
+        raw, [t0](const MetricSample &x) { return x.t < t0; });
+    const size_t last = count_prefix(
+        raw, [t1](const MetricSample &x) { return x.t <= t1; });
+    return Window{first, std::max(first, last)};
+}
+
+/** Rollup buckets of the given width intersecting [t0, t1]. */
+Window
+rollup_window(const MetricRing<RollupPoint> &ring, Duration width,
+              TimePoint t0, TimePoint t1)
+{
+    const size_t first = count_prefix(ring, [width, t0](const RollupPoint &p) {
+        return p.start + width <= t0;
+    });
+    const size_t last = count_prefix(
+        ring, [t1](const RollupPoint &p) { return p.start <= t1; });
+    return Window{first, std::max(first, last)};
+}
+
+/** True if a bucket of the given width intersects [t0, t1]. */
+bool
+bucket_intersects(const RollupPoint &p, Duration width, TimePoint t0,
+                  TimePoint t1)
+{
+    return p.start + width > t0 && p.start <= t1;
+}
+
 } // namespace
 
 MetricStore::MetricStore(MetricStoreConfig config) : config_(config)
@@ -125,10 +189,10 @@ MetricStore::range(SeriesId id, TimePoint t0, TimePoint t1,
     const Series &s = series_at(id);
     std::vector<RollupPoint> out;
     if (res == Resolution::kRaw) {
-        for (size_t i = 0; i < s.raw.size(); ++i) {
+        const Window w = raw_window(s.raw, t0, t1);
+        out.reserve(w.size());
+        for (size_t i = w.first; i < w.last; ++i) {
             const MetricSample &sample = s.raw.at(i);
-            if (sample.t < t0 || sample.t > t1)
-                continue;
             out.push_back(RollupPoint{sample.t, sample.v, sample.v,
                                       sample.v, sample.v, 1});
         }
@@ -141,15 +205,23 @@ MetricStore::range(SeriesId id, TimePoint t0, TimePoint t1,
         res == Resolution::kMinute ? s.open_minute : s.open_hour;
     const bool is_open =
         res == Resolution::kMinute ? s.minute_open : s.hour_open;
-    for (size_t i = 0; i < ring.size(); ++i) {
-        const RollupPoint &p = ring.at(i);
-        if (p.start + width <= t0 || p.start > t1)
-            continue;
-        out.push_back(p);
-    }
-    if (is_open && !(open.start + width <= t0) && !(open.start > t1))
+    const Window w = rollup_window(ring, width, t0, t1);
+    out.reserve(w.size() + 1);
+    for (size_t i = w.first; i < w.last; ++i)
+        out.push_back(ring.at(i));
+    if (is_open && bucket_intersects(open, width, t0, t1))
         out.push_back(open);
     return out;
+}
+
+bool
+MetricStore::has_data(SeriesId id, TimePoint t0, TimePoint t1) const
+{
+    const Series &s = series_at(id);
+    return !raw_window(s.raw, t0, t1).empty() ||
+           !rollup_window(s.minutes, kMinute, t0, t1).empty() ||
+           (s.minute_open &&
+            bucket_intersects(s.open_minute, kMinute, t0, t1));
 }
 
 double
@@ -157,15 +229,13 @@ MetricStore::percentile_over(SeriesId id, TimePoint end, Duration window,
                              double pct) const
 {
     const Series &s = series_at(id);
-    const TimePoint t0 = end - window;
-    std::vector<double> xs;
-    for (size_t i = 0; i < s.raw.size(); ++i) {
-        const MetricSample &sample = s.raw.at(i);
-        if (sample.t >= t0 && sample.t <= end)
-            xs.push_back(sample.v);
-    }
-    if (xs.empty())
+    const Window w = raw_window(s.raw, end - window, end);
+    if (w.empty())
         return 0.0;
+    std::vector<double> xs;
+    xs.reserve(w.size());
+    for (size_t i = w.first; i < w.last; ++i)
+        xs.push_back(s.raw.at(i).v);
     std::sort(xs.begin(), xs.end());
     const double rank =
         std::clamp(pct, 0.0, 100.0) / 100.0 * double(xs.size() - 1);
@@ -181,24 +251,26 @@ MetricStore::mean_over(SeriesId id, TimePoint end, Duration window) const
     const Series &s = series_at(id);
     const TimePoint t0 = end - window;
     // Raw first; if the raw ring's oldest retained sample post-dates the
-    // window start, widen via the rollups so the answer still covers it.
+    // window start, widen via the minute rollups (closed, then the open
+    // bucket) so the answer still covers it.
     double sum = 0;
     uint64_t count = 0;
-    const bool raw_covers =
-        !s.raw.empty() && s.raw.at(0).t <= t0;
+    const bool raw_covers = !s.raw.empty() && s.raw.at(0).t <= t0;
     if (raw_covers || (s.minutes.empty() && !s.minute_open)) {
-        for (size_t i = 0; i < s.raw.size(); ++i) {
-            const MetricSample &sample = s.raw.at(i);
-            if (sample.t >= t0 && sample.t <= end) {
-                sum += sample.v;
-                ++count;
-            }
-        }
+        const Window w = raw_window(s.raw, t0, end);
+        for (size_t i = w.first; i < w.last; ++i)
+            sum += s.raw.at(i).v;
+        count = w.size();
     } else {
-        for (const RollupPoint &p :
-             range(id, t0, end, Resolution::kMinute)) {
-            sum += p.sum;
-            count += p.count;
+        const Window w = rollup_window(s.minutes, kMinute, t0, end);
+        for (size_t i = w.first; i < w.last; ++i) {
+            sum += s.minutes.at(i).sum;
+            count += s.minutes.at(i).count;
+        }
+        if (s.minute_open &&
+            bucket_intersects(s.open_minute, kMinute, t0, end)) {
+            sum += s.open_minute.sum;
+            count += s.open_minute.count;
         }
     }
     return count ? sum / double(count) : 0.0;
@@ -208,21 +280,21 @@ std::optional<MetricSample>
 MetricStore::value_at_or_before(const Series &s, TimePoint t) const
 {
     // Newest raw sample at or before t.
-    for (size_t i = s.raw.size(); i > 0; --i) {
-        const MetricSample &sample = s.raw.at(i - 1);
-        if (sample.t <= t)
-            return sample;
-    }
+    const size_t raw = count_prefix(
+        s.raw, [t](const MetricSample &x) { return x.t <= t; });
+    if (raw > 0)
+        return s.raw.at(raw - 1);
     // Raw ring starts after t: fall back to the newest closed rollup
     // whose bucket ended by t (its `last` value, stamped at bucket end).
-    auto scan = [&](const MetricRing<RollupPoint> &ring,
+    auto scan = [t](const MetricRing<RollupPoint> &ring,
                     Duration width) -> std::optional<MetricSample> {
-        for (size_t i = ring.size(); i > 0; --i) {
-            const RollupPoint &p = ring.at(i - 1);
-            if (p.start + width <= t)
-                return MetricSample{p.start + width, p.last};
-        }
-        return std::nullopt;
+        const size_t n = count_prefix(ring, [&](const RollupPoint &p) {
+            return p.start + width <= t;
+        });
+        if (n == 0)
+            return std::nullopt;
+        const RollupPoint &p = ring.at(n - 1);
+        return MetricSample{p.start + width, p.last};
     };
     if (auto m = scan(s.minutes, kMinute))
         return m;

@@ -149,6 +149,13 @@ class MetricStore
                                    Resolution res) const;
 
     /**
+     * True if any raw sample lies in [t0, t1] or any closed or open
+     * minute bucket intersects it. Allocates nothing: the alert engine's
+     * no-data test for windowed means.
+     */
+    bool has_data(SeriesId id, TimePoint t0, TimePoint t1) const;
+
+    /**
      * Exact percentile (linear interpolation) over the raw samples in
      * [end - window, end]; 0 when the window holds no samples.
      * @param pct percentile in [0, 100].

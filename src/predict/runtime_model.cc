@@ -21,21 +21,25 @@ ErrorQuantiles::observe(double ratio)
     if (ring_.size() < kCapacity) {
         ring_.push_back(ratio);
     } else {
+        // Ratios are finite and positive, so equal values are identical
+        // and any copy of the evicted one may go.
+        sorted_.erase(
+            std::lower_bound(sorted_.begin(), sorted_.end(), ring_[next_]));
         ring_[next_] = ratio;
         next_ = (next_ + 1) % kCapacity;
     }
+    sorted_.insert(std::upper_bound(sorted_.begin(), sorted_.end(), ratio),
+                   ratio);
 }
 
 double
 ErrorQuantiles::quantile(double q) const
 {
-    if (ring_.empty())
+    if (sorted_.empty())
         return 1.0;
-    std::vector<double> sorted = ring_;
-    std::sort(sorted.begin(), sorted.end());
     const size_t idx =
-        std::min(sorted.size() - 1, size_t(q * double(sorted.size())));
-    return sorted[idx];
+        std::min(sorted_.size() - 1, size_t(q * double(sorted_.size())));
+    return sorted_[idx];
 }
 
 RuntimeModel::RuntimeModel(const PredictConfig &config) : config_(config)

@@ -55,6 +55,9 @@ class ErrorQuantiles
     double quantile(double q) const;
 
     std::vector<double> ring_;
+    /** The ring's values in ascending order, kept in step by observe():
+     *  predictions read quantiles far more often than samples arrive. */
+    std::vector<double> sorted_;
     size_t next_ = 0;
 };
 

@@ -54,18 +54,20 @@ TimePoint
 CapacityProfile::earliest_fit(int gpus, Duration duration) const
 {
     assert(gpus >= 0);
-    for (size_t start_idx = 0; start_idx < time_.size(); ++start_idx) {
-        const TimePoint start = time_[start_idx];
-        const TimePoint end = clamp_end(start, duration);
-        bool fits = true;
-        for (size_t i = start_idx; i < time_.size() && time_[i] < end; ++i) {
-            if (capacity_[i] < gpus) {
-                fits = false;
-                break;
-            }
-        }
-        if (fits)
-            return start;
+    // One pass over the breakpoints. A step short of capacity inside the
+    // candidate's window also lies inside the window of every later start
+    // up to it (window ends never move back), so the next candidate is
+    // the breakpoint after that step.
+    size_t start_idx = 0;
+    size_t i = 0;
+    while (start_idx < time_.size()) {
+        const TimePoint end = clamp_end(time_[start_idx], duration);
+        while (i < time_.size() && time_[i] < end && capacity_[i] >= gpus)
+            ++i;
+        if (i == time_.size() || time_[i] >= end)
+            return time_[start_idx];
+        start_idx = i + 1;
+        i = start_idx;
     }
     return TimePoint::max();
 }
@@ -95,9 +97,11 @@ CapacityProfile::reserve(TimePoint start, Duration duration, int gpus)
     if (end < horizon_)
         ensure_breakpoint(end);
 
-    for (size_t i = 0; i < time_.size(); ++i) {
-        if (time_[i] >= start && time_[i] < end)
-            capacity_[i] -= gpus;
+    for (size_t i = size_t(
+             std::lower_bound(time_.begin(), time_.end(), start) -
+             time_.begin());
+         i < time_.size() && time_[i] < end; ++i) {
+        capacity_[i] -= gpus;
     }
 }
 

@@ -4,6 +4,7 @@
  */
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "sched/capacity_profile.h"
 
 namespace tacc::sched {
@@ -96,6 +97,40 @@ TEST(CapacityProfile, StackedReleases)
     EXPECT_EQ(p.capacity_at(t0 + 15_s), 2);
     EXPECT_EQ(p.capacity_at(t0 + 20_s), 6);
     EXPECT_EQ(p.earliest_fit(6, 1_s), t0 + 20_s);
+}
+
+TEST(CapacityProfile, EarliestFitMatchesBruteForce)
+{
+    // Breakpoints and durations on whole seconds, so checking every whole
+    // second as a start (and every second of its window) is exhaustive.
+    Rng rng(7);
+    for (int round = 0; round < 300; ++round) {
+        CapacityProfile p(t0, int(rng.uniform_int(0, 8)));
+        const int ops = int(rng.uniform_int(0, 12));
+        for (int k = 0; k < ops; ++k) {
+            const TimePoint at = t0 + Duration::seconds(rng.uniform_int(0, 60));
+            const int gpus = int(rng.uniform_int(0, 6));
+            if (rng.bernoulli(0.5))
+                p.add_release(at, gpus);
+            else
+                p.reserve(at, Duration::seconds(rng.uniform_int(0, 40)), gpus);
+        }
+        for (int q = 0; q < 20; ++q) {
+            const int gpus = int(rng.uniform_int(0, 12));
+            const int64_t len = rng.uniform_int(0, 50);
+            TimePoint expected = TimePoint::max();
+            for (int64_t s = 0; s <= 200 && expected == TimePoint::max();
+                 ++s) {
+                bool fits = true;
+                for (int64_t i = s; i < s + len && fits; ++i)
+                    fits = p.capacity_at(t0 + Duration::seconds(i)) >= gpus;
+                if (fits)
+                    expected = t0 + Duration::seconds(s);
+            }
+            EXPECT_EQ(p.earliest_fit(gpus, Duration::seconds(len)), expected)
+                << "round " << round << " gpus " << gpus << " len " << len;
+        }
+    }
 }
 
 } // namespace

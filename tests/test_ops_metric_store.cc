@@ -1,10 +1,18 @@
 /**
  * @file
  * Unit tests for the fixed-memory time-series store: ring behavior,
- * rollup math, windowed queries, and the bounded-memory guarantee.
+ * rollup math, windowed queries, the bounded-memory guarantee, and a
+ * property test holding every windowed query bit-identical to a
+ * full-scan reference.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <optional>
+#include <vector>
+
+#include "common/rng.h"
 #include "ops/metric_store.h"
 
 namespace tacc::ops {
@@ -232,6 +240,326 @@ TEST(MetricStore, MemoryIsBoundedAcrossSimulatedDays)
     // Only *defining* series grows memory, never recording.
     store.define("extra", SeriesKind::kGauge);
     EXPECT_GT(store.memory_bytes(), after_fill);
+}
+
+/**
+ * Reference model of one series: the store's three rings rebuilt from the
+ * same samples, queried by scanning every retained entry (the store's
+ * algorithm before its window lookups became binary searches). The store
+ * must match it bit for bit.
+ */
+class FullScanSeries
+{
+  public:
+    explicit FullScanSeries(const MetricStoreConfig &config)
+        : raw_(config.raw_capacity), minutes_(config.minute_capacity),
+          hours_(config.hour_capacity)
+    {
+    }
+
+    void
+    record(TimePoint t, double v)
+    {
+        raw_.push(MetricSample{t, v});
+        fold(minutes_, open_minute_, minute_open_, 1_min, t, v);
+        fold(hours_, open_hour_, hour_open_, 1_h, t, v);
+        ++samples_;
+    }
+
+    /** True once raw, minute and hour rings have all overwritten. */
+    bool
+    wrapped() const
+    {
+        return samples_ > raw_.capacity() &&
+               closed_minutes_ > minutes_.capacity() &&
+               closed_hours_ > hours_.capacity();
+    }
+
+    std::vector<RollupPoint>
+    range(TimePoint t0, TimePoint t1, Resolution res) const
+    {
+        std::vector<RollupPoint> out;
+        if (res == Resolution::kRaw) {
+            for (size_t i = 0; i < raw_.size(); ++i) {
+                const MetricSample &sample = raw_.at(i);
+                if (sample.t < t0 || sample.t > t1)
+                    continue;
+                out.push_back(RollupPoint{sample.t, sample.v, sample.v,
+                                          sample.v, sample.v, 1});
+            }
+            return out;
+        }
+        const bool minute = res == Resolution::kMinute;
+        const Duration width = minute ? 1_min : 1_h;
+        const MetricRing<RollupPoint> &ring = minute ? minutes_ : hours_;
+        const RollupPoint &open = minute ? open_minute_ : open_hour_;
+        const bool is_open = minute ? minute_open_ : hour_open_;
+        for (size_t i = 0; i < ring.size(); ++i) {
+            const RollupPoint &p = ring.at(i);
+            if (p.start + width <= t0 || p.start > t1)
+                continue;
+            out.push_back(p);
+        }
+        if (is_open && !(open.start + width <= t0) && !(open.start > t1))
+            out.push_back(open);
+        return out;
+    }
+
+    bool
+    has_data(TimePoint t0, TimePoint t1) const
+    {
+        return !range(t0, t1, Resolution::kRaw).empty() ||
+               !range(t0, t1, Resolution::kMinute).empty();
+    }
+
+    double
+    percentile_over(TimePoint end, Duration window, double pct) const
+    {
+        const TimePoint t0 = end - window;
+        std::vector<double> xs;
+        for (size_t i = 0; i < raw_.size(); ++i) {
+            const MetricSample &sample = raw_.at(i);
+            if (sample.t >= t0 && sample.t <= end)
+                xs.push_back(sample.v);
+        }
+        if (xs.empty())
+            return 0.0;
+        std::sort(xs.begin(), xs.end());
+        const double rank =
+            std::clamp(pct, 0.0, 100.0) / 100.0 * double(xs.size() - 1);
+        const size_t lo = size_t(rank);
+        const size_t hi = std::min(lo + 1, xs.size() - 1);
+        const double frac = rank - double(lo);
+        return xs[lo] + (xs[hi] - xs[lo]) * frac;
+    }
+
+    double
+    mean_over(TimePoint end, Duration window) const
+    {
+        const TimePoint t0 = end - window;
+        double sum = 0;
+        uint64_t count = 0;
+        const bool raw_covers = !raw_.empty() && raw_.at(0).t <= t0;
+        if (raw_covers || (minutes_.empty() && !minute_open_)) {
+            for (size_t i = 0; i < raw_.size(); ++i) {
+                const MetricSample &sample = raw_.at(i);
+                if (sample.t >= t0 && sample.t <= end) {
+                    sum += sample.v;
+                    ++count;
+                }
+            }
+        } else {
+            for (const RollupPoint &p : range(t0, end, Resolution::kMinute)) {
+                sum += p.sum;
+                count += p.count;
+            }
+        }
+        return count ? sum / double(count) : 0.0;
+    }
+
+    double
+    rate_over(TimePoint end, Duration window) const
+    {
+        const auto newest = value_at_or_before(end);
+        if (!newest)
+            return 0.0;
+        auto oldest = value_at_or_before(end - window);
+        if (!oldest) {
+            if (raw_.empty() || raw_.at(0).t > end)
+                return 0.0;
+            oldest = raw_.at(0);
+        }
+        if (newest->t <= oldest->t)
+            return 0.0;
+        return std::max(0.0, newest->v - oldest->v) / window.to_seconds();
+    }
+
+  private:
+    void
+    fold(MetricRing<RollupPoint> &closed, RollupPoint &open, bool &is_open,
+         Duration bucket, TimePoint t, double v)
+    {
+        const int64_t w = bucket.to_micros();
+        const TimePoint start =
+            TimePoint::from_micros((t.to_micros() / w) * w);
+        if (is_open && open.start != start) {
+            closed.push(open);
+            ++(bucket == 1_min ? closed_minutes_ : closed_hours_);
+            is_open = false;
+        }
+        if (!is_open) {
+            open = RollupPoint{start, v, v, v, v, 1};
+            is_open = true;
+            return;
+        }
+        open.min = std::min(open.min, v);
+        open.max = std::max(open.max, v);
+        open.sum += v;
+        open.last = v;
+        ++open.count;
+    }
+
+    std::optional<MetricSample>
+    value_at_or_before(TimePoint t) const
+    {
+        for (size_t i = raw_.size(); i > 0; --i) {
+            const MetricSample &sample = raw_.at(i - 1);
+            if (sample.t <= t)
+                return sample;
+        }
+        auto scan = [&](const MetricRing<RollupPoint> &ring,
+                        Duration width) -> std::optional<MetricSample> {
+            for (size_t i = ring.size(); i > 0; --i) {
+                const RollupPoint &p = ring.at(i - 1);
+                if (p.start + width <= t)
+                    return MetricSample{p.start + width, p.last};
+            }
+            return std::nullopt;
+        };
+        if (auto m = scan(minutes_, 1_min))
+            return m;
+        return scan(hours_, 1_h);
+    }
+
+    MetricRing<MetricSample> raw_;
+    MetricRing<RollupPoint> minutes_;
+    MetricRing<RollupPoint> hours_;
+    RollupPoint open_minute_;
+    RollupPoint open_hour_;
+    bool minute_open_ = false;
+    bool hour_open_ = false;
+    size_t samples_ = 0;
+    size_t closed_minutes_ = 0;
+    size_t closed_hours_ = 0;
+};
+
+void
+expect_same_points(const std::vector<RollupPoint> &got,
+                   const std::vector<RollupPoint> &want)
+{
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].start, want[i].start);
+        EXPECT_EQ(got[i].min, want[i].min);
+        EXPECT_EQ(got[i].max, want[i].max);
+        EXPECT_EQ(got[i].sum, want[i].sum);
+        EXPECT_EQ(got[i].last, want[i].last);
+        EXPECT_EQ(got[i].count, want[i].count);
+    }
+}
+
+/**
+ * Query times that exercise every window edge: each retained sample time
+ * and its neighbours, minute/hour bucket boundaries around them (the open
+ * bucket included), and points before the oldest and after the newest.
+ */
+std::vector<TimePoint>
+edge_times(const std::vector<TimePoint> &recorded)
+{
+    std::vector<TimePoint> out = {TimePoint::origin()};
+    const Duration eps = Duration::micros(1);
+    for (const TimePoint t : recorded) {
+        out.insert(out.end(), {t - eps, t, t + eps});
+        for (const Duration w : {1_min, 1_h}) {
+            const int64_t us = w.to_micros();
+            const TimePoint start =
+                TimePoint::from_micros((t.to_micros() / us) * us);
+            out.insert(out.end(), {start, start - eps, start + w,
+                                   start + w - eps, start + w / 2});
+        }
+    }
+    if (!recorded.empty()) {
+        out.push_back(recorded.front() - 3_h);
+        out.push_back(recorded.back() + 3_h);
+    }
+    return out;
+}
+
+// Every windowed query (range at each resolution, has_data, mean_over,
+// percentile_over, rate_over) must return exactly what a full scan of the
+// retained rings returns, as doubles compared bit for bit: random
+// non-decreasing series with duplicate timestamps, capacities so small
+// that all three rings wrap, and windows before the oldest sample, after
+// the newest, empty or inverted, and straddling the open bucket.
+TEST(MetricStoreProperty, WindowQueriesMatchFullScanReference)
+{
+    Rng rng(20251017);
+    int wrapped_trials = 0;
+    for (int trial = 0; trial < 150; ++trial) {
+        SCOPED_TRACE("trial " + std::to_string(trial));
+        MetricStoreConfig config;
+        config.raw_capacity = size_t(rng.uniform_int(1, 24));
+        config.minute_capacity = size_t(rng.uniform_int(1, 10));
+        config.hour_capacity = size_t(rng.uniform_int(1, 4));
+        MetricStore store(config);
+        const SeriesId id = store.define("s", SeriesKind::kGauge);
+        FullScanSeries ref(config);
+
+        const std::vector<Duration> windows = {
+            Duration::micros(0), Duration::micros(1), 30_s, 1_min,
+            10_min,              1_h,                 2_h + 30_min};
+        auto check = [&](const std::vector<TimePoint> &recorded) {
+            const std::vector<TimePoint> times = edge_times(recorded);
+            auto pick = [&] {
+                return times[size_t(
+                    rng.uniform_int(0, int64_t(times.size()) - 1))];
+            };
+            for (int q = 0; q < 40; ++q) {
+                const TimePoint t0 = pick();
+                const TimePoint t1 = pick(); // may precede t0: empty
+                for (const Resolution res :
+                     {Resolution::kRaw, Resolution::kMinute,
+                      Resolution::kHour}) {
+                    expect_same_points(store.range(id, t0, t1, res),
+                                       ref.range(t0, t1, res));
+                }
+                EXPECT_EQ(store.has_data(id, t0, t1), ref.has_data(t0, t1));
+
+                const TimePoint end = pick();
+                const Duration window = windows[size_t(
+                    rng.uniform_int(0, int64_t(windows.size()) - 1))];
+                const double pct = rng.uniform(0.0, 100.0);
+                EXPECT_EQ(store.mean_over(id, end, window),
+                          ref.mean_over(end, window));
+                EXPECT_EQ(store.percentile_over(id, end, window, pct),
+                          ref.percentile_over(end, window, pct));
+                if (!window.is_zero()) {
+                    EXPECT_EQ(store.rate_over(id, end, window),
+                              ref.rate_over(end, window));
+                }
+            }
+        };
+
+        std::vector<TimePoint> recorded;
+        TimePoint t = TimePoint::from_micros(rng.uniform_int(0, 7'200'000'000));
+        const int samples = int(rng.uniform_int(0, 400));
+        check(recorded); // no samples at all
+        for (int i = 0; i < samples; ++i) {
+            const double gap = rng.uniform();
+            if (gap < 0.25) {
+                // duplicate timestamp
+            } else if (gap < 0.75) {
+                t += Duration::micros(rng.uniform_int(1, 90'000'000));
+            } else if (gap < 0.93) {
+                t += Duration::minutes(rng.uniform_int(1, 10));
+            } else {
+                t += Duration::hours(rng.uniform_int(1, 3));
+            }
+            // Magnitudes spanning nine decades: any change in the order
+            // of summation shows in the low bits.
+            const double v =
+                rng.uniform(-1.0, 1.0) * std::pow(10.0, rng.uniform_int(-3, 6));
+            store.record(id, t, v);
+            ref.record(t, v);
+            recorded.push_back(t);
+            if (i % 50 == 49 || i + 1 == samples)
+                check(recorded);
+        }
+        if (ref.wrapped())
+            ++wrapped_trials;
+    }
+    // Most trials wrap all three rings; the rest cover the unwrapped case.
+    EXPECT_GT(wrapped_trials, 50);
 }
 
 } // namespace

@@ -11,6 +11,7 @@
 #include "core/stack.h"
 #include "ops/report.h"
 #include "tcloud/client.h"
+#include "workload/trace.h"
 
 namespace tacc {
 namespace {
@@ -199,6 +200,94 @@ TEST(OpsReport, AccountingGolden)
     EXPECT_FALSE(scenario.client_.accounting("").is_ok());
     EXPECT_FALSE(scenario.client_.accounting("lab", "mars").is_ok());
     EXPECT_FALSE(scenario.client_.operator_report("mars").is_ok());
+}
+
+
+/** One pinned alert incident; times in simulated microseconds. */
+struct PinnedIncident {
+    const char *rule;
+    int64_t fired_us;
+    int64_t resolved_us;
+    double peak;
+};
+
+const char kLongHorizonIncidentsGolden[] = R"GOLD(== alert incidents ==
+alert                 severity  fired     resolved  duration  peak     
+-----------------------------------------------------------------------
+failure-storm         critical  d0 02:02  d0 03:22  1h19m      0.003056
+failure-storm         critical  d0 05:05  d0 09:48  4h43m      0.004444
+queue-depth-spike     warning   d0 06:47  d1 16:27  33h40m          216
+queue-age             warning   d0 07:53  d2 16:15  56h22m    2.061e+05
+failure-storm         critical  d0 10:35  d0 16:44  6h08m      0.001667
+failure-storm         critical  d0 17:34  d0 21:47  4h13m      0.004167
+deadline-burn         warning   d0 18:00  d0 19:07  1h06m     0.0008333
+failure-storm         critical  d0 22:13  d0 23:02  49m30.0s   0.002222
+failure-storm         critical  d0 23:43  d1 01:51  2h08m      0.002778
+failure-storm         critical  d1 03:24  d1 05:21  1h57m      0.002222
+failure-storm         critical  d1 17:32  d1 17:56  24m00.0s   0.001944
+failure-storm         critical  d1 19:35  d1 20:42  1h07m      0.002222
+utilization-collapse  critical  d2 23:51  ACTIVE    1h00m             0
+)GOLD";
+
+// Long-horizon ops pin: three fault-heavy simulated days on 32 GPUs, so
+// the 2048-sample raw rings wrap (after ~17 h at the 30 s cadence) while
+// burn-rate and mean rules keep firing and resolving. Pins every incident
+// bit-exactly and the rendered incident table byte-for-byte: any drift in
+// a windowed query (raw, rollup or wrap-around path) shows up here.
+TEST(OpsReport, LongHorizonIncidentsPinnedPastRingWrap)
+{
+    core::StackConfig config = base_config();
+    config.cluster.topology.nodes_per_rack = 4;
+    config.exec.failure.node_mtbf_hours = 3.0;
+    core::TaccStack stack(config);
+
+    workload::TraceConfig trace;
+    trace.num_jobs = 420;
+    trace.seed = 7;
+    trace.mean_interarrival_s = 240.0;
+    trace.diurnal = true;
+    trace.frac_deadline = 0.2;
+    trace.gpu_demand_pmf = {{1, 0.5}, {2, 0.2}, {4, 0.15}, {8, 0.15}};
+    trace.max_duration_s = 8.0 * 3600.0;
+    stack.submit_trace(workload::TraceGenerator(trace).generate());
+    ASSERT_TRUE(stack.run_to_completion());
+
+    // Idle cool-down so burn-rate windows drain and alerts resolve.
+    ops::OpsCenter *ops = stack.ops();
+    ASSERT_NE(ops, nullptr);
+    TimePoint now = stack.simulator().now();
+    for (int i = 0; i < 24; ++i) {
+        now += 5_min;
+        ops->sample(now);
+    }
+    const int64_t kStillFiring = TimePoint::max().to_micros();
+    const std::vector<PinnedIncident> expected = {
+        {"failure-storm", 7350000000, 12120000000, 0.0030555555555555557},
+        {"failure-storm", 18300000000, 35310000000, 0.0044444444444444444},
+        {"queue-depth-spike", 24420000000, 145650000000, 216},
+        {"queue-age", 28380000000, 231300000000, 206112.45761799999},
+        {"failure-storm", 38130000000, 60240000000, 0.0016666666666666668},
+        {"failure-storm", 63270000000, 78450000000, 0.0041666666666666666},
+        {"deadline-burn", 64830000000, 68820000000, 0.00083333333333333339},
+        {"failure-storm", 79980000000, 82950000000, 0.0022222222222222222},
+        {"failure-storm", 85380000000, 93090000000, 0.0027777777777777779},
+        {"failure-storm", 98640000000, 105660000000, 0.0022222222222222222},
+        {"failure-storm", 149520000000, 150960000000, 0.0019444444444444444},
+        {"failure-storm", 156900000000, 160920000000, 0.0022222222222222222},
+        {"utilization-collapse", 258698961689, kStillFiring, 0},
+    };
+    const auto &incidents = ops->alerts().incidents();
+    ASSERT_EQ(incidents.size(), expected.size());
+    for (size_t i = 0; i < expected.size(); ++i) {
+        SCOPED_TRACE("incident " + std::to_string(i));
+        EXPECT_EQ(incidents[i].rule, expected[i].rule);
+        EXPECT_EQ(incidents[i].fired_at.to_micros(), expected[i].fired_us);
+        EXPECT_EQ(incidents[i].resolved_at.to_micros(),
+                  expected[i].resolved_us);
+        EXPECT_EQ(incidents[i].peak, expected[i].peak); // bit-exact
+    }
+    EXPECT_EQ(ops::render_incidents(ops->alerts(), now),
+              kLongHorizonIncidentsGolden);
 }
 
 } // namespace

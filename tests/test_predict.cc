@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "core/config_io.h"
 #include "driver/runner.h"
 #include "driver/sweep.h"
@@ -247,6 +248,37 @@ TEST(ErrorQuantiles, RingBoundsMemory)
     for (int i = 0; i < 1000; ++i)
         q.observe(1.0 + double(i % 7) * 0.1);
     EXPECT_EQ(q.samples(), ErrorQuantiles::kCapacity);
+}
+
+TEST(ErrorQuantiles, MatchSortedRing)
+{
+    // Reference: sort the last kCapacity accepted ratios on every read.
+    ErrorQuantiles q;
+    std::vector<double> ring;
+    Rng rng(11);
+    for (int i = 0; i < 500; ++i) {
+        // Coarse values, so the ring holds many duplicates.
+        const double r = rng.bernoulli(0.05)
+                             ? -1.0
+                             : 0.25 * double(rng.uniform_int(1, 12));
+        q.observe(r);
+        if (r > 0)
+            ring.push_back(r);
+        if (ring.size() > ErrorQuantiles::kCapacity)
+            ring.erase(ring.begin());
+        std::vector<double> sorted = ring;
+        std::sort(sorted.begin(), sorted.end());
+        auto at = [&](double frac) {
+            return sorted[std::min(sorted.size() - 1,
+                                   size_t(frac * double(sorted.size())))];
+        };
+        if (sorted.empty()) {
+            EXPECT_EQ(q.p95(), 1.0);
+            continue;
+        }
+        EXPECT_EQ(q.p50(), at(0.50)) << "after " << i;
+        EXPECT_EQ(q.p95(), at(0.95)) << "after " << i;
+    }
 }
 
 TEST(HoltSeries, FallsBackUntilTwoObservations)

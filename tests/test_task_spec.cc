@@ -5,6 +5,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "workload/task_spec.h"
 
 namespace tacc::workload {
@@ -35,6 +37,15 @@ struct InvalidCase {
     const char *label;
     void (*mutate)(TaskSpec &);
 };
+
+// gtest would otherwise print the case as its raw bytes, i.e. the two
+// pointers, and those bytes end up in the listed test names, which then
+// change with every build and every run.
+void
+PrintTo(const InvalidCase &c, std::ostream *os)
+{
+    *os << c.label;
+}
 
 class TaskSpecValidation : public ::testing::TestWithParam<InvalidCase>
 {

@@ -31,11 +31,14 @@
  *
  * Example:  printf 'demo 20\ndrain\nps\nreport\n' | ./build/tools/tcloud
  */
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <memory>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -51,6 +54,29 @@
 using namespace tacc;
 
 namespace {
+
+/** Largest `demo` batch and `run` step the shell accepts. */
+constexpr int kMaxDemoJobs = 100000;
+constexpr double kMaxRunSeconds = 1e9; // ~32 years of simulated time
+
+/**
+ * Reads an optional numeric argument: `fallback` when it is absent,
+ * nullopt when it is not a finite number in [0, max].
+ */
+std::optional<double>
+read_number(std::istream &is, double fallback, double max)
+{
+    std::string token;
+    if (!(is >> token))
+        return fallback;
+    char *end = nullptr;
+    const double v = std::strtod(token.c_str(), &end);
+    if (end == token.c_str() || *end != '\0' || !std::isfinite(v) ||
+        v < 0 || v > max) {
+        return std::nullopt;
+    }
+    return v;
+}
 
 core::StackConfig
 campus_config()
@@ -150,14 +176,22 @@ class Shell
             is >> path;
             replay(path);
         } else if (cmd == "demo") {
-            int n = 10;
-            is >> n;
-            demo(n);
+            const auto n = read_number(is, 10, kMaxDemoJobs);
+            if (!n || *n != std::floor(*n)) {
+                std::printf("usage: demo [n]  (n: whole number, 0..%d)\n",
+                            kMaxDemoJobs);
+                return true;
+            }
+            demo(int(*n));
         } else if (cmd == "run") {
-            double seconds = 60;
-            is >> seconds;
+            const auto seconds = read_number(is, 60, kMaxRunSeconds);
+            if (!seconds) {
+                std::printf("usage: run <seconds>  (finite, 0..%.0f)\n",
+                            kMaxRunSeconds);
+                return true;
+            }
             stack().run_until(stack().simulator().now() +
-                              Duration::from_seconds(seconds));
+                              Duration::from_seconds(*seconds));
             std::printf("now %s\n",
                         stack().simulator().now().str().c_str());
         } else if (cmd == "drain") {
