@@ -1,5 +1,6 @@
 #include "compiler/chunk_store.h"
 
+#include <algorithm>
 #include <cassert>
 
 #include "common/rng.h"
@@ -73,33 +74,112 @@ chunk_artifact(const workload::Artifact &artifact, uint64_t chunk_bytes,
     return out;
 }
 
-ChunkStore::ChunkStore(uint64_t capacity_bytes) : capacity_(capacity_bytes) {}
+ChunkStore::ChunkStore(uint64_t capacity_bytes)
+    : capacity_(capacity_bytes), index_(16, kNil)
+{
+}
+
+size_t
+ChunkStore::probe(ChunkId id) const
+{
+    const size_t mask = index_.size() - 1;
+    size_t pos = size_t(id) & mask;
+    while (index_[pos] != kNil && nodes_[index_[pos]].id != id)
+        pos = (pos + 1) & mask;
+    return pos;
+}
+
+void
+ChunkStore::unlink(uint32_t slot)
+{
+    const Node &node = nodes_[slot];
+    (node.prev == kNil ? head_ : nodes_[node.prev].next) = node.next;
+    (node.next == kNil ? tail_ : nodes_[node.next].prev) = node.prev;
+}
+
+void
+ChunkStore::push_front(uint32_t slot)
+{
+    Node &node = nodes_[slot];
+    node.prev = kNil;
+    node.next = head_;
+    (head_ == kNil ? tail_ : nodes_[head_].prev) = slot;
+    head_ = slot;
+}
+
+void
+ChunkStore::touch(uint32_t slot)
+{
+    if (slot != head_) {
+        unlink(slot);
+        push_front(slot);
+    }
+}
 
 bool
 ChunkStore::lookup(ChunkId id)
 {
-    auto it = map_.find(id);
-    if (it == map_.end()) {
+    const uint32_t slot = index_[probe(id)];
+    if (slot == kNil) {
         ++misses_;
         return false;
     }
     ++hits_;
-    lru_.splice(lru_.begin(), lru_, it->second);
+    touch(slot);
     return true;
 }
 
 void
 ChunkStore::insert(ChunkId id, uint64_t bytes)
 {
-    auto it = map_.find(id);
-    if (it != map_.end()) {
-        lru_.splice(lru_.begin(), lru_, it->second);
+    if (const uint32_t slot = index_[probe(id)]; slot != kNil) {
+        touch(slot);
         return;
     }
     evict_to_fit(bytes);
-    lru_.emplace_front(id, bytes);
-    map_.emplace(id, lru_.begin());
+    if (2 * (size_ + 1) > index_.size())
+        grow_index();
+    uint32_t slot = free_;
+    if (slot != kNil) {
+        free_ = nodes_[slot].next;
+        nodes_[slot].id = id;
+        nodes_[slot].bytes = bytes;
+    } else {
+        assert(nodes_.size() < kNil);
+        slot = uint32_t(nodes_.size());
+        nodes_.push_back(Node{id, bytes, kNil, kNil});
+    }
+    // Eviction or growth may have moved the probe run: probe again.
+    index_[probe(id)] = slot;
+    push_front(slot);
+    ++size_;
     resident_bytes_ += bytes;
+}
+
+void
+ChunkStore::erase_index(size_t pos)
+{
+    // Backward-shift deletion: pull later entries of the probe run into
+    // the hole unless their home lies cyclically in (hole, entry].
+    const size_t mask = index_.size() - 1;
+    size_t hole = pos;
+    for (size_t j = (hole + 1) & mask; index_[j] != kNil;
+         j = (j + 1) & mask) {
+        const size_t home = size_t(nodes_[index_[j]].id) & mask;
+        if (((j - home) & mask) >= ((j - hole) & mask)) {
+            index_[hole] = index_[j];
+            hole = j;
+        }
+    }
+    index_[hole] = kNil;
+}
+
+void
+ChunkStore::grow_index()
+{
+    index_.assign(index_.size() * 2, kNil);
+    for (uint32_t slot = head_; slot != kNil; slot = nodes_[slot].next)
+        index_[probe(nodes_[slot].id)] = slot;
 }
 
 void
@@ -107,11 +187,14 @@ ChunkStore::evict_to_fit(uint64_t incoming_bytes)
 {
     if (capacity_ == 0)
         return;
-    while (!lru_.empty() && resident_bytes_ + incoming_bytes > capacity_) {
-        const auto &[victim, bytes] = lru_.back();
-        resident_bytes_ -= bytes;
-        map_.erase(victim);
-        lru_.pop_back();
+    while (tail_ != kNil && resident_bytes_ + incoming_bytes > capacity_) {
+        const uint32_t victim = tail_;
+        resident_bytes_ -= nodes_[victim].bytes;
+        erase_index(probe(nodes_[victim].id));
+        unlink(victim);
+        nodes_[victim].next = free_;
+        free_ = victim;
+        --size_;
         ++evictions_;
     }
 }
@@ -119,8 +202,10 @@ ChunkStore::evict_to_fit(uint64_t incoming_bytes)
 void
 ChunkStore::clear()
 {
-    lru_.clear();
-    map_.clear();
+    nodes_.clear();
+    std::fill(index_.begin(), index_.end(), kNil);
+    head_ = tail_ = free_ = kNil;
+    size_ = 0;
     resident_bytes_ = 0;
 }
 

@@ -7,13 +7,11 @@
  * content as fixed-size chunks with deterministic content ids: bumping an
  * artifact's version rewrites a configurable fraction of its chunks, so a
  * warm store only transfers the changed chunks. The store itself is an
- * LRU-bounded set of chunk ids with byte accounting.
+ * LRU-bounded set of chunk ids with byte accounting, kept in a flat slab.
  */
 #pragma once
 
 #include <cstdint>
-#include <list>
-#include <unordered_map>
 #include <vector>
 
 #include "workload/task_spec.h"
@@ -41,7 +39,15 @@ std::vector<ChunkRef> chunk_artifact(const workload::Artifact &artifact,
                                      uint64_t chunk_bytes,
                                      double delta_fraction);
 
-/** Byte-bounded LRU set of chunks. */
+/**
+ * Byte-bounded LRU set of chunks.
+ *
+ * Chunks live in one slab (`nodes_`) linked into an LRU list by 32-bit
+ * slot indices; evicted slots are recycled through a free list. The index
+ * is an open-addressing table of slot indices, homed by the low bits of
+ * the chunk id (ids are already split_mix64 outputs), with linear probing,
+ * backward-shift deletion and doubling at load 1/2.
+ */
 class ChunkStore
 {
   public:
@@ -55,7 +61,7 @@ class ChunkStore
     void insert(ChunkId id, uint64_t bytes);
 
     uint64_t resident_bytes() const { return resident_bytes_; }
-    size_t resident_chunks() const { return map_.size(); }
+    size_t resident_chunks() const { return size_; }
     uint64_t capacity_bytes() const { return capacity_; }
 
     uint64_t hits() const { return hits_; }
@@ -66,6 +72,24 @@ class ChunkStore
     void clear();
 
   private:
+    static constexpr uint32_t kNil = UINT32_MAX;
+
+    struct Node {
+        ChunkId id;
+        uint64_t bytes;
+        uint32_t prev; ///< towards the most recent end; kNil at the head
+        uint32_t next; ///< towards the LRU end; free-list link when free
+    };
+
+    /** Index-table position holding `id`, or of the empty slot ending
+     *  its probe run. */
+    size_t probe(ChunkId id) const;
+    void unlink(uint32_t slot);
+    void push_front(uint32_t slot);
+    /** Marks the slot most recently used. */
+    void touch(uint32_t slot);
+    void erase_index(size_t pos);
+    void grow_index();
     void evict_to_fit(uint64_t incoming_bytes);
 
     uint64_t capacity_;
@@ -73,8 +97,12 @@ class ChunkStore
     uint64_t hits_ = 0;
     uint64_t misses_ = 0;
     uint64_t evictions_ = 0;
-    std::list<std::pair<ChunkId, uint64_t>> lru_; ///< front = most recent
-    std::unordered_map<ChunkId, decltype(lru_)::iterator> map_;
+    size_t size_ = 0;
+    std::vector<Node> nodes_;
+    uint32_t head_ = kNil; ///< most recent
+    uint32_t tail_ = kNil; ///< least recent
+    uint32_t free_ = kNil;
+    std::vector<uint32_t> index_; ///< slot indices; kNil = empty
 };
 
 } // namespace tacc::compiler

@@ -43,6 +43,21 @@ Compiler::resolve_runtime(const workload::TaskSpec &spec,
     return RuntimeKind::kContainer;
 }
 
+const std::vector<ChunkRef> &
+Compiler::plan_of(const workload::Artifact &artifact)
+{
+    auto [it, fresh] = plans_.try_emplace(artifact.name);
+    ChunkPlan &plan = it->second;
+    if (fresh || plan.version != artifact.version ||
+        plan.bytes != artifact.bytes) {
+        plan.version = artifact.version;
+        plan.bytes = artifact.bytes;
+        plan.chunks = chunk_artifact(artifact, config_.chunk_bytes,
+                                     config_.delta_fraction);
+    }
+    return plan.chunks;
+}
+
 StatusOr<TaskInstruction>
 Compiler::compile(const workload::TaskSpec &spec)
 {
@@ -55,9 +70,7 @@ Compiler::compile(const workload::TaskSpec &spec)
     out.spec = spec;
 
     for (const auto &artifact : spec.artifacts) {
-        const auto chunks = chunk_artifact(artifact, config_.chunk_bytes,
-                                           config_.delta_fraction);
-        for (const auto &chunk : chunks) {
+        for (const auto &chunk : plan_of(artifact)) {
             out.total_bytes += chunk.bytes;
             ++out.chunk_count;
             if (config_.cache_enabled && cache_.lookup(chunk.id)) {

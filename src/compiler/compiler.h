@@ -11,6 +11,9 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
+#include <unordered_map>
+#include <vector>
 
 #include "common/status.h"
 #include "common/time.h"
@@ -115,12 +118,26 @@ class Compiler
     void clear_cache();
 
   private:
+    /** The chunk plan of one artifact version. */
+    struct ChunkPlan {
+        uint64_t version = 0;
+        uint64_t bytes = 0;
+        std::vector<ChunkRef> chunks;
+    };
+
     RuntimeKind resolve_runtime(const workload::TaskSpec &spec,
                                 uint64_t total_bytes) const;
+
+    /** The artifact's chunk plan, re-derived only when its version or
+     *  size differs from the name's latest plan. */
+    const std::vector<ChunkRef> &plan_of(const workload::Artifact &artifact);
 
     CompilerConfig config_;
     ChunkStore cache_;
     CompilerStats stats_;
+    /** Latest plan per artifact name: bounded by the distinct names (code
+     *  trees, images, datasets), not by the number of compiles. */
+    std::unordered_map<std::string, ChunkPlan> plans_;
 };
 
 } // namespace tacc::compiler

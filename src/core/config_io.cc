@@ -1,5 +1,6 @@
 #include "core/config_io.h"
 
+#include <cmath>
 #include <sstream>
 
 #include "common/strings.h"
@@ -43,7 +44,8 @@ apply_stack_key(const std::string &key, const std::string &value,
         try {
             size_t pos = 0;
             out = std::stod(value, &pos);
-            if (pos != value.size())
+            // NaN would pass every range check below.
+            if (pos != value.size() || !std::isfinite(out))
                 throw std::invalid_argument(value);
         } catch (const std::exception &) {
             return bad(key, value);

@@ -1,6 +1,7 @@
 #include "tune/tuner.h"
 
 #include <chrono>
+#include <cmath>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -30,7 +31,9 @@ parse_double(const std::string &key, const std::string &value)
     try {
         size_t pos = 0;
         const double v = std::stod(value, &pos);
-        if (pos != value.size())
+        // NaN would pass every range check (all its comparisons are
+        // false), so non-finite values are rejected here.
+        if (pos != value.size() || !std::isfinite(v))
             return bad(key, value);
         return v;
     } catch (const std::exception &) {

@@ -63,8 +63,16 @@ parse_trace_row(const std::string &line, size_t row)
     SubmittedTask entry;
     TaskSpec &s = entry.spec;
     try {
-        entry.arrival = TimePoint::origin() +
-                        Duration::from_seconds(std::stod(fields[0]));
+        // Negative, non-finite or overflowing arrivals are not times the
+        // simulator can reach: reject them here instead of asserting there.
+        const double arrival_s = std::stod(fields[0]);
+        if (!(arrival_s >= 0.0 && arrival_s * 1e6 < 0x1p63)) {
+            return Status::invalid_argument(
+                strfmt("row %zu: bad arrival_s '%s'", row + 1,
+                       fields[0].c_str()));
+        }
+        entry.arrival =
+            TimePoint::origin() + Duration::from_seconds(arrival_s);
         s.name = fields[1];
         s.user = fields[2];
         s.group = fields[3];

@@ -114,6 +114,22 @@ TEST(ConfigIo, RejectsBadInput)
     EXPECT_FALSE(parse_stack_config("usage_half_life_h: 0\n").is_ok());
 }
 
+TEST(ConfigIo, RejectsNonFiniteNumbers)
+{
+    // NaN passes every range check, so it must be refused as a number.
+    for (const char *text :
+         {"oversubscription: nan\n", "nic_gbps: nan\n", "nic_gbps: inf\n",
+          "w_age: nan\n", "mtbf_hours: -inf\n",
+          "checkpoint_interval_s: nan\n"}) {
+        SCOPED_TRACE(text);
+        const auto parsed = parse_stack_config(text);
+        ASSERT_FALSE(parsed.is_ok());
+        EXPECT_NE(parsed.status().message().find("bad value for"),
+                  std::string::npos)
+            << parsed.status().str();
+    }
+}
+
 TEST(ConfigIo, ErrorsCarryLineNumbers)
 {
     auto unknown = parse_stack_config("racks: 2\n\nwarp_drive: 9\n");

@@ -77,6 +77,20 @@ TEST(SweepSpecParse, RejectsUnknownKey)
               std::string::npos);
 }
 
+TEST(SweepSpecParse, RejectsNonFiniteNumbers)
+{
+    for (const char *text :
+         {"interarrival_s: nan\n", "loads: 0.5,nan\n", "loads: inf\n",
+          "oversubscription: nan\n", "node_mtbf_hours: -inf\n"}) {
+        SCOPED_TRACE(text);
+        const auto spec = parse_sweep_spec(text);
+        ASSERT_FALSE(spec.is_ok());
+        EXPECT_NE(spec.status().message().find("bad value for"),
+                  std::string::npos)
+            << spec.status().str();
+    }
+}
+
 TEST(SweepSpecParse, RejectsUnknownScheduler)
 {
     auto spec = parse_sweep_spec("schedulers: no-such-policy\n");

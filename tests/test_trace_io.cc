@@ -6,6 +6,7 @@
 
 #include <cstdio>
 
+#include "workload/stream.h"
 #include "workload/trace_io.h"
 
 namespace tacc::workload {
@@ -90,6 +91,45 @@ TEST(TraceIo, RejectsMalformedInput)
                                  "max_gpus\n") +
                      "1.0,j,u,g,0,,batch,1,resnet50,10,60,0,0,0\n")
                      .is_ok());
+}
+
+// Arrivals the simulator cannot reach (before the origin, non-finite, or
+// past the microsecond range) are rejected with a Status, both by the
+// whole-file parser and by the streaming reader sharing its row parser.
+TEST(TraceIo, RejectsUnreachableArrivals)
+{
+    const std::string row_tail = ",j,u,g,1,,batch,1,resnet50,10,60,0,0,0\n";
+    const std::string path = ::testing::TempDir() + "/tacc_bad_arrival.csv";
+    for (const char *arrival :
+         {"-5", "-0.000001", "nan", "-nan", "inf", "-inf", "1e300",
+          "9.3e12"}) {
+        SCOPED_TRACE(arrival);
+        const std::string csv =
+            std::string(trace_csv_header()) + "\n" + arrival + row_tail;
+        const auto parsed = trace_from_csv(csv);
+        ASSERT_FALSE(parsed.is_ok());
+        EXPECT_NE(parsed.status().str().find("bad arrival_s"),
+                  std::string::npos)
+            << parsed.status().str();
+
+        FILE *file = std::fopen(path.c_str(), "w");
+        ASSERT_NE(file, nullptr);
+        std::fputs(csv.c_str(), file);
+        std::fclose(file);
+        FileTraceStream stream(path);
+        std::vector<SubmittedTask> out;
+        EXPECT_EQ(stream.pull(out, 8), 0u);
+        EXPECT_TRUE(out.empty());
+        EXPECT_NE(stream.status().str().find("bad arrival_s"),
+                  std::string::npos)
+            << stream.status().str();
+    }
+    std::remove(path.c_str());
+    // The edges that stay valid: zero, and a large but representable time.
+    const auto edges = trace_from_csv(std::string(trace_csv_header()) + "\n" +
+                                      "0" + row_tail + "9.2e12" + row_tail);
+    ASSERT_TRUE(edges.is_ok()) << edges.status().str();
+    EXPECT_EQ(edges.value()[1].arrival.to_micros(), int64_t(9.2e18));
 }
 
 TEST(TraceIo, FileRoundTrip)

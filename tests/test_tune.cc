@@ -172,6 +172,20 @@ TEST(TuneSpecParse, HardErrorsCarryLineNumbers)
     EXPECT_FALSE(parse_tune_spec("sa_cooling: 1.5\n").is_ok());
 }
 
+TEST(TuneSpecParse, RejectsNonFiniteNumbers)
+{
+    for (const char *text :
+         {"sa_cooling: nan\n", "sa_init_temp: inf\n", "w_energy: nan\n",
+          "oversubscription: nan\n"}) {
+        SCOPED_TRACE(text);
+        const auto spec = parse_tune_spec(text);
+        ASSERT_FALSE(spec.is_ok());
+        EXPECT_NE(spec.status().message().find("bad value for"),
+                  std::string::npos)
+            << spec.status().str();
+    }
+}
+
 TEST(TuneMixes, KnownMixesApplyUnknownRejected)
 {
     for (const std::string &mix : mix_names()) {
