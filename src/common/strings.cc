@@ -1,5 +1,6 @@
 #include "common/strings.h"
 
+#include <charconv>
 #include <cstdarg>
 #include <cstdio>
 
@@ -72,6 +73,18 @@ starts_with(std::string_view s, std::string_view prefix)
 {
     return s.size() >= prefix.size() &&
            s.substr(0, prefix.size()) == prefix;
+}
+
+bool
+parse_uint(std::string_view s, uint64_t max, uint64_t *out)
+{
+    uint64_t v = 0;
+    const char *end = s.data() + s.size();
+    const auto [ptr, ec] = std::from_chars(s.data(), end, v);
+    if (ec != std::errc() || ptr != end || v > max)
+        return false;
+    *out = v;
+    return true;
 }
 
 std::string

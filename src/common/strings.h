@@ -28,6 +28,10 @@ std::string_view trim(std::string_view s);
 /** True if s starts with prefix. */
 bool starts_with(std::string_view s, std::string_view prefix);
 
+/** Strict unsigned decimal (digits only: no sign, space or suffix) of
+ *  at most `max` into *out; false, leaving *out alone, otherwise. */
+bool parse_uint(std::string_view s, uint64_t max, uint64_t *out);
+
 /** Human-readable byte count, e.g. "1.50 GiB". */
 std::string format_bytes(uint64_t bytes);
 

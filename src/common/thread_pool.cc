@@ -1,7 +1,7 @@
 #include "common/thread_pool.h"
 
-#include <algorithm>
 #include <cassert>
+#include <utility>
 
 #if defined(__linux__)
 #include <sched.h>
@@ -9,101 +9,30 @@
 
 namespace tacc {
 
-namespace detail {
-
-void
-BulkState::run_chunk() noexcept
-{
-    for (;;) {
-        const size_t index = next.fetch_add(1, std::memory_order_relaxed);
-        if (index >= n)
-            return;
-        try {
-            invoke(index);
-        } catch (...) {
-            std::lock_guard lock(mu);
-            if (!error)
-                error = std::current_exception();
-        }
-        if (completed.fetch_add(1, std::memory_order_acq_rel) + 1 == n) {
-            std::lock_guard lock(mu);
-            done = true;
-            done_cv.notify_all();
-        }
-    }
-}
-
-void
-BulkState::wait()
-{
-    std::unique_lock lock(mu);
-    done_cv.wait(lock, [this] { return done; });
-    if (error) {
-        std::exception_ptr first = std::exchange(error, nullptr);
-        lock.unlock();
-        std::rethrow_exception(first);
-    }
-}
-
-void
-BulkState::wait_nothrow()
-{
-    std::unique_lock lock(mu);
-    done_cv.wait(lock, [this] { return done; });
-}
-
-namespace {
-
-/** Which pool (if any) owns the current thread, for submit routing. */
-thread_local void *tls_pool = nullptr;
-thread_local int tls_worker = -1;
-
-/** xorshift64: cheap per-worker randomness for the steal start. */
-uint64_t
-next_rand(uint64_t &state)
-{
-    state ^= state << 13;
-    state ^= state >> 7;
-    state ^= state << 17;
-    return state;
-}
-
-/** Largest injection batch one worker transfers to its deque. */
-constexpr size_t kMaxInjectBatch = 32;
-
-} // namespace
-} // namespace detail
+static thread_local const ThreadPool *tls_pool = nullptr; // worker's pool
 
 ThreadPool::ThreadPool(int threads)
 {
-    if (threads <= 0)
-        threads = hardware_threads();
-    workers_.reserve(size_t(threads));
-    for (int i = 0; i < threads; ++i) {
-        auto worker = std::make_unique<Worker>();
-        // Deterministic, distinct steal streams (splitmix-style mix).
-        worker->steal_rng = 0x9e3779b97f4a7c15ULL * uint64_t(i + 1) + 1;
-        workers_.push_back(std::move(worker));
+    const int n = threads > 0 ? threads : hardware_threads();
+    threads_.reserve(size_t(n));
+    try {
+        for (int i = 0; i < n; ++i)
+            threads_.emplace_back([this] { worker_loop(); });
+    } catch (...) {
+        stop_and_join(); // a joinable std::thread would terminate
+        throw;
     }
-    threads_.reserve(size_t(threads));
-    for (int i = 0; i < threads; ++i)
-        threads_.emplace_back([this, i] { worker_loop(i); });
 }
 
-ThreadPool::~ThreadPool()
+void
+ThreadPool::stop_and_join()
 {
-    {
-        std::lock_guard lock(inject_mu_);
-        stopping_ = true;
-        ++epoch_;
-    }
+    std::unique_lock lock(mu_);
+    stopping_ = true;
+    lock.unlock();
     wake_cv_.notify_all();
     for (auto &thread : threads_)
         thread.join();
-    assert(inject_.empty() && "workers exited with tasks still queued");
-    for ([[maybe_unused]] const auto &worker : workers_)
-        assert(worker->deque.empty_approx() &&
-               "workers exited with deque tasks pending");
 }
 
 int
@@ -111,10 +40,6 @@ ThreadPool::hardware_threads()
 {
     int n = int(std::thread::hardware_concurrency());
 #if defined(__linux__)
-    // A cgroup/affinity-limited container often advertises every host
-    // CPU through hardware_concurrency while the scheduler only ever
-    // runs us on a few; sizing to the affinity mask stops the pool
-    // oversubscribing CI runners.
     cpu_set_t allowed;
     CPU_ZERO(&allowed);
     if (sched_getaffinity(0, sizeof(allowed), &allowed) == 0) {
@@ -127,193 +52,55 @@ ThreadPool::hardware_threads()
 }
 
 void
-ThreadPool::dispatch(detail::TaskNode *node)
+ThreadPool::run(size_t n, IndexFn call, void *fn)
 {
-    if (detail::tls_pool == this) {
-        // Worker-local submission: straight into our own deque (LIFO);
-        // wake a thief only if someone is actually asleep.
-        workers_[size_t(detail::tls_worker)]->deque.push(node);
-        maybe_wake();
+    assert(tls_pool != this && "parallel_for called from its own worker");
+    if (n == 0)
         return;
-    }
-    post(node);
-}
-
-void
-ThreadPool::post(detail::TaskNode *node)
-{
-    {
-        std::lock_guard lock(inject_mu_);
-        assert(!stopping_ && "submit() on a stopping ThreadPool");
-        inject_.push_back(node);
-        ++epoch_;
-    }
-    injected_.fetch_add(1, std::memory_order_relaxed);
-    wake_cv_.notify_one();
-}
-
-void
-ThreadPool::post_bulk(std::shared_ptr<detail::BulkState> state,
-                      size_t fanout)
-{
-    struct BulkNode final : detail::TaskNode {
-        explicit BulkNode(std::shared_ptr<detail::BulkState> s)
-            : state(std::move(s))
-        {
-        }
-        void
-        run() noexcept override
-        {
-            state->run_chunk();
-        }
-        std::shared_ptr<detail::BulkState> state;
-    };
-
-    {
-        std::lock_guard lock(inject_mu_);
-        assert(!stopping_ && "submit_bulk() on a stopping ThreadPool");
-        for (size_t i = 0; i < fanout; ++i)
-            inject_.push_back(new BulkNode(state));
-        ++epoch_;
-    }
-    injected_.fetch_add(fanout, std::memory_order_relaxed);
+    std::lock_guard turn(call_mu_);
+    std::unique_lock lock(mu_);
+    call_ = call;
+    fn_ = fn;
+    n_ = n;
+    next_.store(0, std::memory_order_relaxed);
+    active_ = size();
+    ++generation_;
     wake_cv_.notify_all();
+    // Wait for every worker, even one that found no index left: none
+    // may still hold fn once this frame, which owns it, returns.
+    done_cv_.wait(lock, [this] { return active_ == 0; });
+    if (error_)
+        std::rethrow_exception(std::exchange(error_, nullptr));
 }
 
 void
-ThreadPool::maybe_wake()
+ThreadPool::worker_loop()
 {
-    // seq_cst pairs with the sleeper's fetch_add-then-rescan: either we
-    // observe the sleeper (and bump the epoch), or our enqueue is
-    // ordered before its increment and the sleeper's re-scan finds the
-    // task itself. Either way no task waits on a sleeping pool.
-    if (sleepers_.load(std::memory_order_seq_cst) == 0)
-        return;
-    {
-        std::lock_guard lock(inject_mu_);
-        ++epoch_;
-    }
-    wake_cv_.notify_one();
-}
-
-bool
-ThreadPool::all_deques_empty() const
-{
-    for (const auto &worker : workers_) {
-        if (!worker->deque.empty_approx())
-            return false;
-    }
-    return true;
-}
-
-bool
-ThreadPool::run_one(int index)
-{
-    Worker &self = *workers_[size_t(index)];
-    detail::TaskNode *node = self.deque.pop();
-
-    if (!node) {
-        // Injection queue: transfer a batch under one lock hold. The
-        // first task runs now; the rest are pushed in reverse so the
-        // LIFO pops that follow replay the original FIFO order.
-        detail::TaskNode *batch[detail::kMaxInjectBatch];
-        size_t taken = 0;
-        {
-            std::lock_guard lock(inject_mu_);
-            if (!inject_.empty()) {
-                size_t want = inject_.size() / workers_.size();
-                want = std::clamp<size_t>(want, 1,
-                                          detail::kMaxInjectBatch);
-                want = std::min(want, inject_.size());
-                for (; taken < want; ++taken) {
-                    batch[taken] = inject_.front();
-                    inject_.pop_front();
-                }
+    tls_pool = this;
+    uint64_t seen = 0;
+    std::unique_lock lock(mu_);
+    for (;;) {
+        wake_cv_.wait(lock, [&] { return stopping_ || generation_ != seen; });
+        if (stopping_)
+            return;
+        seen = generation_;
+        lock.unlock();
+        for (;;) {
+            const size_t i = next_.fetch_add(1, std::memory_order_relaxed);
+            if (i >= n_)
+                break;
+            try {
+                call_(fn_, i);
+            } catch (...) {
+                std::lock_guard error_lock(mu_);
+                if (!error_)
+                    error_ = std::current_exception();
             }
         }
-        if (taken > 0) {
-            for (size_t i = taken; i-- > 1;)
-                self.deque.push(batch[i]);
-            if (taken > 1)
-                maybe_wake();
-            node = batch[0];
-        }
-    }
-
-    if (!node && workers_.size() > 1) {
-        // Steal FIFO from a random victim; one full sweep per scan
-        // (failed CAS races just fall through to the next victim).
-        const size_t n = workers_.size();
-        const size_t start =
-            size_t(detail::next_rand(self.steal_rng) % uint64_t(n));
-        for (size_t k = 0; k < n && !node; ++k) {
-            const size_t victim = (start + k) % n;
-            if (victim == size_t(index))
-                continue;
-            node = workers_[victim]->deque.steal();
-        }
-        if (node)
-            self.stolen.fetch_add(1, std::memory_order_relaxed);
-    }
-
-    if (!node)
-        return false;
-    node->run();
-    delete node;
-    self.executed.fetch_add(1, std::memory_order_relaxed);
-    return true;
-}
-
-void
-ThreadPool::worker_loop(int index)
-{
-    detail::tls_pool = this;
-    detail::tls_worker = index;
-
-    for (;;) {
-        if (run_one(index))
-            continue;
-
-        std::unique_lock lock(inject_mu_);
-        if (stopping_) {
-            // Drain-on-destruct: leave only after observing every
-            // queue empty. A non-empty deque means its owner (or a
-            // thief — us, next scan) still has work to run.
-            if (inject_.empty() && all_deques_empty())
-                return;
-            lock.unlock();
-            std::this_thread::yield();
-            continue;
-        }
-        const uint64_t seen = epoch_;
-        lock.unlock();
-
-        // Sleep handshake: announce intent, re-scan, then block. Any
-        // enqueue after the announcement either sees sleepers_ > 0 and
-        // bumps the epoch (waking us) or is ordered before it, in
-        // which case this re-scan finds the task.
-        sleepers_.fetch_add(1, std::memory_order_seq_cst);
-        if (run_one(index)) {
-            sleepers_.fetch_sub(1, std::memory_order_relaxed);
-            continue;
-        }
         lock.lock();
-        wake_cv_.wait(lock, [&] { return stopping_ || epoch_ != seen; });
-        sleepers_.fetch_sub(1, std::memory_order_relaxed);
+        if (--active_ == 0)
+            done_cv_.notify_one();
     }
-}
-
-ThreadPool::Stats
-ThreadPool::stats() const
-{
-    Stats stats;
-    for (const auto &worker : workers_) {
-        stats.executed +=
-            worker->executed.load(std::memory_order_relaxed);
-        stats.stolen += worker->stolen.load(std::memory_order_relaxed);
-    }
-    stats.injected = injected_.load(std::memory_order_relaxed);
-    return stats;
 }
 
 } // namespace tacc

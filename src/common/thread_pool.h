@@ -1,260 +1,74 @@
 /**
  * @file
- * Work-stealing thread pool — the execution backbone behind the sweep,
- * tune, and bench drivers.
- *
- * The first-generation pool was one mutex-guarded FIFO on the theory
- * that tasks are whole simulation runs (seconds each) and queue
- * contention therefore negligible. That stopped being true: streaming
- * retention (T17) made cheap scenarios common, the power grid runs 192
- * of them, and the auto-tuner fans hundreds of sub-second candidate
- * evaluations through the pool — at 10k+-scenario grids the single
- * lock is the measured bottleneck (see EXPERIMENTS.md T19).
- *
- * Architecture (details in DESIGN.md "Execution backbone"):
- *  - one Chase–Lev deque per worker (common/work_deque.h): the owner
- *    pushes/pops LIFO at the bottom, thieves steal FIFO from the top;
- *  - a global injection queue for external submitters; workers drain
- *    it in batches into their own deque (amortizing the lock), in an
- *    order that preserves per-submitter FIFO on a single worker;
- *  - randomized steal order: each worker scans victims starting from a
- *    per-worker xorshift draw, so thieves spread instead of convoying;
- *  - an epoch-counted sleep protocol: idle workers snapshot a wake
- *    epoch, re-scan every queue, and only then block on the condition
- *    variable — any enqueue bumps the epoch, closing the lost-wakeup
- *    window without a spinning pool.
- *
- * Guarantees (the relaxed contract; property-tested in
- * tests/test_pool_property.cc):
- *  - drain-on-destruct: every task submitted before destruction runs
- *    to completion — the destructor wakes all workers, each exits only
- *    after observing the injection queue and every deque empty;
- *  - exceptions thrown by a task surface through the std::future from
- *    submit() or the wait() of its BulkTasks group, never on the
- *    worker thread;
- *  - per-submitter ordering is *relaxed*: with a single worker, tasks
- *    from one external submitter still start in submission order; with
- *    several workers, stealing may start them out of order. Tasks
- *    submitted from inside a worker run LIFO and take priority over
- *    injected work on that worker. Nothing may depend on cross-task
- *    execution order for correctness (the sweep/tune drivers write to
- *    indexed slots precisely so that order is irrelevant).
+ * Fixed-worker thread pool behind the sweep and tune drivers, whose
+ * grids of ~20 ms simulations need one blocking fan-out. Workers start
+ * in the constructor, sleep on one condition variable between calls and
+ * claim indices from one atomic counter; reusing them keeps each one's
+ * thread_local core::StackArena warm. See DESIGN.md "Execution backbone".
  */
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <exception>
-#include <future>
-#include <memory>
 #include <mutex>
 #include <thread>
-#include <type_traits>
-#include <utility>
 #include <vector>
 
-#include "common/work_deque.h"
-
 namespace tacc {
-
-namespace detail {
-
-/** A unit of pool work; exactly one thread runs then deletes it. */
-struct TaskNode {
-    virtual ~TaskNode() = default;
-    /** Must not throw: wrappers capture into futures / group state. */
-    virtual void run() noexcept = 0;
-};
-
-/** submit() node: one allocation carrying the packaged_task inline. */
-template <class F, class R>
-struct FutureNode final : TaskNode {
-    explicit FutureNode(F fn) : task(std::move(fn)) {}
-    void
-    run() noexcept override
-    {
-        task(); // packaged_task captures any exception for the future
-    }
-    std::packaged_task<R()> task;
-};
-
-/**
- * Shared state of one submit_bulk() call: an atomic index dispenser.
- * Each of the O(workers) chunk nodes loops claiming indices, so a grid
- * of N scenarios costs N atomic increments instead of N heap-allocated
- * packaged_tasks through a lock.
- */
-struct BulkState {
-    virtual ~BulkState() = default;
-    /** Runs one index; may throw (first exception is recorded). */
-    virtual void invoke(size_t index) = 0;
-
-    /** Chunk-runner loop: claim indices until the dispenser is dry. */
-    void run_chunk() noexcept;
-    /** Blocks until every index completed; rethrows the first error. */
-    void wait();
-    /** wait() without the rethrow (destructor path). */
-    void wait_nothrow();
-
-    size_t n = 0;
-    std::atomic<size_t> next{0};
-    std::atomic<size_t> completed{0};
-    std::mutex mu;
-    std::condition_variable done_cv;
-    bool done = false;               // guarded by mu
-    std::exception_ptr error;        // guarded by mu; first thrower wins
-};
-
-template <class F>
-struct BulkStateT final : BulkState {
-    explicit BulkStateT(F f) : fn(std::move(f)) {}
-    void
-    invoke(size_t index) override
-    {
-        fn(index);
-    }
-    F fn;
-};
-
-} // namespace detail
 
 class ThreadPool
 {
   public:
-    /** @param threads worker count; <= 0 uses hardware_threads(). */
+    /** `threads` <= 0 uses hardware_threads(). If a worker fails to
+     *  start, the started ones are joined and the error is rethrown. */
     explicit ThreadPool(int threads = 0);
-
-    /** Drains every queued task (injection + all deques), then joins. */
-    ~ThreadPool();
+    ~ThreadPool() { stop_and_join(); }
 
     ThreadPool(const ThreadPool &) = delete;
     ThreadPool &operator=(const ThreadPool &) = delete;
 
     int size() const { return int(threads_.size()); }
 
-    /**
-     * Usable parallelism with a floor of 1: hardware_concurrency,
-     * clamped to the CPUs this process may actually run on
-     * (sched_getaffinity) — in a cgroup/affinity-limited CI container
-     * the two differ, and the clamp stops the pool oversubscribing.
-     */
+    /** hardware_concurrency clamped to the CPUs this process may run on
+     *  (sched_getaffinity), with a floor of 1. */
     static int hardware_threads();
 
     /**
-     * Enqueues fn for execution; the future delivers its result or
-     * rethrows its exception. Must not be called during/after
-     * destruction. Called from a worker thread, the task goes to that
-     * worker's own deque (LIFO) instead of the injection queue.
+     * Runs fn(0) .. fn(n-1) on the workers (never the caller) in any order
+     * and returns once all ran; the first exception any index threw is
+     * then rethrown. Concurrent callers take turns. Not for workers.
      */
     template <class F>
-    auto
-    submit(F fn) -> std::future<std::invoke_result_t<F>>
+    void
+    parallel_for(size_t n, F fn)
     {
-        using R = std::invoke_result_t<F>;
-        auto *node = new detail::FutureNode<F, R>(std::move(fn));
-        std::future<R> result = node->task.get_future();
-        dispatch(node);
-        return result;
+        run(n, [](void *f, size_t i) { (*static_cast<F *>(f))(i); }, &fn);
     }
-
-    /**
-     * Handle to one submit_bulk() group (the task-group path).
-     * wait() blocks until every index ran and rethrows the first
-     * exception; the destructor waits without rethrowing.
-     */
-    class BulkTasks
-    {
-      public:
-        BulkTasks(BulkTasks &&) noexcept = default;
-        BulkTasks &operator=(BulkTasks &&) noexcept = default;
-        ~BulkTasks()
-        {
-            if (state_)
-                state_->wait_nothrow();
-        }
-        void
-        wait()
-        {
-            if (state_) {
-                auto state = std::move(state_);
-                state->wait();
-            }
-        }
-
-      private:
-        friend class ThreadPool;
-        explicit BulkTasks(std::shared_ptr<detail::BulkState> state)
-            : state_(std::move(state))
-        {
-        }
-        std::shared_ptr<detail::BulkState> state_;
-    };
-
-    /**
-     * Runs fn(0) .. fn(n-1) on the pool without per-index allocations:
-     * min(n, size()) chunk-runner nodes share an atomic index
-     * dispenser. Indices may run in any order and on any worker — the
-     * caller must write results into per-index slots. The first
-     * exception is recorded (remaining indices still run) and rethrown
-     * by wait(). Must be called from outside the pool: wait() on a
-     * worker thread could deadlock.
-     */
-    template <class F>
-    BulkTasks
-    submit_bulk(size_t n, F fn)
-    {
-        auto state = std::make_shared<detail::BulkStateT<F>>(std::move(fn));
-        state->n = n;
-        if (n == 0) {
-            state->done = true;
-            return BulkTasks(std::move(state));
-        }
-        post_bulk(state, std::min(n, size_t(size())));
-        return BulkTasks(std::move(state));
-    }
-
-    /** Monotonic counters since construction (informational; the
-     *  executed count may trail a just-completed future by a beat). */
-    struct Stats {
-        uint64_t executed = 0; ///< tasks run to completion
-        uint64_t stolen = 0;   ///< tasks taken from another worker
-        uint64_t injected = 0; ///< tasks that entered via the queue
-    };
-    Stats stats() const;
 
   private:
-    /** Per-worker state; stable address (unique_ptr) for thieves. */
-    struct Worker {
-        WorkStealingDeque<detail::TaskNode> deque;
-        uint64_t steal_rng = 0;
-        std::atomic<uint64_t> executed{0};
-        std::atomic<uint64_t> stolen{0};
-    };
+    using IndexFn = void (*)(void *fn, size_t index);
 
-    void dispatch(detail::TaskNode *node);
-    void post(detail::TaskNode *node);
-    void post_bulk(std::shared_ptr<detail::BulkState> state,
-                   size_t fanout);
-    void worker_loop(int index);
-    /** One scan (own deque, injection batch, steal); runs the task. */
-    bool run_one(int index);
-    bool all_deques_empty() const;
-    void maybe_wake();
+    void run(size_t n, IndexFn call, void *fn);
+    void worker_loop();
+    void stop_and_join();
 
-    std::vector<std::unique_ptr<Worker>> workers_;
     std::vector<std::thread> threads_;
-
-    /** Guards inject_, epoch_, stopping_ and pairs with wake_cv_. */
-    mutable std::mutex inject_mu_;
+    std::mutex call_mu_; ///< held by a parallel_for caller throughout
+    /** Guards the fields below but next_. call_, fn_ and n_ change only
+     *  while every worker sleeps, so workers read them unlocked. */
+    std::mutex mu_;
     std::condition_variable wake_cv_;
-    std::deque<detail::TaskNode *> inject_;
-    uint64_t epoch_ = 0;
+    std::condition_variable done_cv_;
+    uint64_t generation_ = 0;
     bool stopping_ = false;
-    /** Workers inside the sleep handshake (seq_cst, see maybe_wake). */
-    std::atomic<int> sleepers_{0};
-    std::atomic<uint64_t> injected_{0};
+    IndexFn call_ = nullptr;
+    void *fn_ = nullptr;
+    size_t n_ = 0;
+    int active_ = 0; ///< workers not yet done with this generation
+    std::exception_ptr error_;
+    std::atomic<size_t> next_{0};
 };
 
 } // namespace tacc

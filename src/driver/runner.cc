@@ -60,15 +60,12 @@ run_sweep(const SweepSpec &spec, int workers)
     const auto sweep_start = std::chrono::steady_clock::now();
     {
         ThreadPool pool(workers);
-        // The bulk path enqueues the whole grid as one task group —
-        // O(workers) chunk nodes sharing an index dispenser instead of
-        // one packaged_task allocation per scenario. Each run writes
-        // only its own indexed slot (and folds its digest right on the
-        // worker, overlapping aggregation with simulation), so digests
-        // stay byte-identical at any worker count. wait() rethrows the
-        // first failure (bad config, bad_alloc, ...) on the caller
-        // thread; remaining runs still finish first.
-        pool.submit_bulk(scenarios.size(), [&](size_t i) {
+        // Each run writes only its own indexed slot (and folds its
+        // digest right on the worker, overlapping aggregation with
+        // simulation), so digests stay byte-identical at any worker
+        // count. parallel_for rethrows the first failure (bad config,
+        // bad_alloc, ...) on the caller once the other runs finished.
+        pool.parallel_for(scenarios.size(), [&](size_t i) {
             // One arena per pool worker: successive scenarios on
             // this thread reuse the previous run's event slab and
             // scheduler scratch instead of re-growing them.
@@ -83,7 +80,7 @@ run_sweep(const SweepSpec &spec, int workers)
                 run.jobs_per_s = double(run.result.submitted) /
                                  (run.wall_ms / 1000.0);
             }
-        }).wait();
+        });
     }
     summary.wall_ms = elapsed_ms(sweep_start);
     summary.peak_rss_bytes = peak_rss_bytes();

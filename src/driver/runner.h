@@ -48,7 +48,9 @@ struct SweepSummary {
 /**
  * Runs the full grid with `workers` concurrent simulations (<= 0 uses
  * the hardware concurrency). Run order within the pool is arbitrary;
- * the returned summary is always in canonical expansion order.
+ * the returned summary is always in canonical expansion order. Throws
+ * the first exception a scenario threw, once the others finished, or
+ * std::system_error when a pool worker cannot start.
  */
 SweepSummary run_sweep(const SweepSpec &spec, int workers);
 

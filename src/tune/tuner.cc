@@ -471,6 +471,8 @@ run_tune(const TuneSpec &spec, int workers)
                                         "mix and eval seed)");
 
     const auto tune_start = std::chrono::steady_clock::now();
+    // One pool for the whole search: its workers, and with them their
+    // scenario arenas, persist from one batch to the next.
     ThreadPool pool(workers);
     std::map<std::vector<double>, EvalOutcome> cache;
 
@@ -494,11 +496,11 @@ run_tune(const TuneSpec &spec, int workers)
         std::vector<core::ScenarioResult> runs(fresh.size() *
                                                evals.size());
         {
-            // Bulk task group over (candidate x eval point): results
-            // land in indexed slots, so pool scheduling order cannot
-            // leak into scores or digests (the determinism contract).
+            // One index per (candidate x eval point): results land in
+            // indexed slots, so pool scheduling order cannot leak into
+            // scores or digests (the determinism contract).
             const size_t per_candidate = evals.size();
-            pool.submit_bulk(runs.size(), [&](size_t index) {
+            pool.parallel_for(runs.size(), [&](size_t index) {
                 // One arena per pool worker (see run_sweep).
                 thread_local core::StackArena arena;
                 const size_t f = index / per_candidate;
@@ -506,7 +508,7 @@ run_tune(const TuneSpec &spec, int workers)
                 core::ScenarioConfig config = evals[e];
                 spec.space.apply(*fresh[f], &config.stack);
                 runs[index] = core::run_scenario(config, &arena);
-            }).wait();
+            });
         }
         result.scenario_runs += runs.size();
         for (size_t f = 0; f < fresh.size(); ++f) {

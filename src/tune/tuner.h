@@ -147,7 +147,9 @@ StatusOr<TuneSpec> load_tune_spec(const std::string &path);
 
 /**
  * Runs the search to its budget. workers <= 0 uses the hardware
- * count; the result is identical at any worker count.
+ * count; the result is identical at any worker count. Like
+ * driver::run_sweep, throws a scenario's exception or std::system_error
+ * when a pool worker cannot start.
  */
 StatusOr<TuneResult> run_tune(const TuneSpec &spec, int workers);
 

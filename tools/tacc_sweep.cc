@@ -30,13 +30,15 @@
  *   tacc_sweep --update-goldens
  * from the repo root and commit the refreshed digests file.
  */
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
+#include <exception>
 #include <fstream>
 #include <iterator>
 #include <string>
 
 #include "common/hash.h"
+#include "common/strings.h"
 #include "common/table.h"
 #include "driver/runner.h"
 
@@ -119,9 +121,10 @@ main(int argc, char **argv)
             const char *v = value();
             if (!v)
                 return usage(argv[0]);
-            opt.jobs = std::atoi(v);
-            if (opt.jobs < 0)
+            uint64_t jobs = 0;
+            if (!parse_uint(v, INT_MAX, &jobs))
                 return usage(argv[0]);
+            opt.jobs = int(jobs);
         } else if (arg == "--out") {
             const char *v = value();
             if (!v)
@@ -170,7 +173,15 @@ main(int argc, char **argv)
         return 0;
     }
 
-    const auto summary = driver::run_sweep(spec.value(), opt.jobs);
+    driver::SweepSummary summary;
+    try {
+        summary = driver::run_sweep(spec.value(), opt.jobs);
+    } catch (const std::exception &e) {
+        // A scenario's failure (bad_alloc, ...) or a pool worker that
+        // could not start.
+        std::fprintf(stderr, "tacc_sweep: %s\n", e.what());
+        return 2;
+    }
     if (!opt.quiet)
         print_table(summary);
     std::printf("%zu runs, %d worker(s), %.1f ms wall\n",

@@ -31,13 +31,16 @@
  *   tacc_tune --update-golden
  * from the repo root and commit the refreshed best-config file.
  */
+#include <climits>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
+#include <exception>
 #include <fstream>
 #include <iterator>
 #include <string>
 
 #include "common/hash.h"
+#include "common/strings.h"
 #include "common/table.h"
 #include "tune/tuner.h"
 
@@ -123,22 +126,25 @@ main(int argc, char **argv)
             const char *v = value();
             if (!v)
                 return usage(argv[0]);
-            opt.budget = std::atoi(v);
-            if (opt.budget <= 0)
+            uint64_t budget = 0;
+            if (!parse_uint(v, INT_MAX, &budget) || budget == 0)
                 return usage(argv[0]);
+            opt.budget = int(budget);
         } else if (arg == "--seed") {
             const char *v = value();
             if (!v)
                 return usage(argv[0]);
+            if (!parse_uint(v, UINT64_MAX, &opt.seed))
+                return usage(argv[0]);
             opt.have_seed = true;
-            opt.seed = std::strtoull(v, nullptr, 10);
         } else if (arg == "--jobs") {
             const char *v = value();
             if (!v)
                 return usage(argv[0]);
-            opt.jobs = std::atoi(v);
-            if (opt.jobs < 0)
+            uint64_t jobs = 0;
+            if (!parse_uint(v, INT_MAX, &jobs))
                 return usage(argv[0]);
+            opt.jobs = int(jobs);
         } else if (arg == "--out") {
             const char *v = value();
             if (!v)
@@ -195,7 +201,15 @@ main(int argc, char **argv)
     if (opt.streaming)
         spec.base.streaming = true;
 
-    auto result_or = tune::run_tune(spec, opt.jobs);
+    auto result_or = [&]() -> StatusOr<tune::TuneResult> {
+        try {
+            return tune::run_tune(spec, opt.jobs);
+        } catch (const std::exception &e) {
+            // A scenario's failure (bad_alloc, ...) or a pool worker
+            // that could not start.
+            return Status::internal(e.what());
+        }
+    }();
     if (!result_or.is_ok()) {
         std::fprintf(stderr, "tacc_tune: %s\n",
                      result_or.status().str().c_str());
