@@ -70,7 +70,8 @@ Cluster::node(NodeId id)
 }
 
 Status
-Cluster::allocate(JobId job, const Placement &placement)
+Cluster::allocate(JobId job, const Placement &placement,
+                  Placement *granted_out)
 {
     if (job == kInvalidJob)
         return Status::invalid_argument("invalid job id");
@@ -109,6 +110,8 @@ Cluster::allocate(JobId job, const Placement &placement)
             PlacementSlice{slice.node, result.value()});
     }
     free_gpus_ -= granted.total_gpus();
+    if (granted_out)
+        *granted_out = granted;
     holdings_.emplace(job, std::move(granted));
     return Status::ok();
 }

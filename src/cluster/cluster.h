@@ -120,9 +120,12 @@ class Cluster
     /**
      * Applies a placement atomically: either every slice is granted or
      * nothing is. Slices must name distinct nodes.
+     * @param granted if set, receives the GPU indices actually granted
+     *        (what placement_of() returns from now on).
      * @return invalid_argument / resource_exhausted on failure.
      */
-    Status allocate(JobId job, const Placement &placement);
+    Status allocate(JobId job, const Placement &placement,
+                    Placement *granted = nullptr);
 
     /**
      * Releases all GPUs held by the job across the cluster.

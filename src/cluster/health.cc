@@ -27,6 +27,7 @@ NodeHealthTracker::set_state(NodeId id, NodeHealth next)
         unhealthy_ += (slot == NodeHealth::kHealthy ? 1 : 0) -
                       (next == NodeHealth::kHealthy ? 1 : 0);
         slot = next;
+        ++version_;
     }
     return ++epochs_[size_t(id)];
 }

@@ -75,6 +75,10 @@ class NodeHealthTracker
     /** Epoch counter for stale-callback detection. */
     uint64_t epoch(NodeId id) const { return epochs_[size_t(id)]; }
 
+    /** Bumped by every state change: views derived from the states
+     *  (the scheduler's free-view mask) resync when it moves. */
+    uint64_t version() const { return version_; }
+
     int count(NodeHealth state) const;
     int schedulable_count() const;
 
@@ -82,6 +86,7 @@ class NodeHealthTracker
     std::vector<NodeHealth> states_;
     std::vector<uint64_t> epochs_;
     int unhealthy_ = 0; ///< nodes not Healthy (incl. Degraded)
+    uint64_t version_ = 0;
 };
 
 } // namespace tacc::cluster

@@ -56,12 +56,11 @@ MetricsCollector::on_arrival(TimePoint t)
     }
 }
 
-void
-MetricsCollector::on_placement(cluster::JobId id,
-                               const cluster::Placement &p)
+uint64_t
+MetricsCollector::fold_placement(uint64_t digest,
+                                 const cluster::Placement &p)
 {
-    auto [it, inserted] = placement_digests_.try_emplace(id, Fnv1a::kBasis);
-    Fnv1a h(it->second);
+    Fnv1a h(digest);
     h.u64(uint64_t(p.slices.size()));
     for (const auto &slice : p.slices) {
         h.u32(slice.node);
@@ -69,11 +68,12 @@ MetricsCollector::on_placement(cluster::JobId id,
         for (int gpu : slice.gpu_indices)
             h.i32(gpu);
     }
-    it->second = h.value();
+    return h.value();
 }
 
 JobRecord
-MetricsCollector::make_record(const workload::Job &job)
+MetricsCollector::make_record(const workload::Job &job,
+                              uint64_t placement_digest)
 {
     JobRecord r;
     r.id = job.id();
@@ -96,11 +96,8 @@ MetricsCollector::make_record(const workload::Job &job)
     r.segments = job.segment_count();
     r.has_deadline = job.spec().has_deadline();
     r.missed_deadline = job.missed_deadline();
-    if (auto it = placement_digests_.find(job.id());
-        it != placement_digests_.end()) {
-        r.placement_digest = it->second;
-        placement_digests_.erase(it); // read exactly once; stay bounded
-    }
+    // Every start folds its placement first, so a started job has one.
+    r.placement_digest = job.has_started() ? placement_digest : 0;
     return r;
 }
 
@@ -117,9 +114,10 @@ MetricsCollector::drain_fold()
 }
 
 const JobRecord &
-MetricsCollector::record_job(const workload::Job &job)
+MetricsCollector::record_job(const workload::Job &job,
+                             uint64_t placement_digest)
 {
-    JobRecord r = make_record(job);
+    JobRecord r = make_record(job, placement_digest);
     const bool completed =
         r.final_state == workload::JobState::kCompleted;
     completed_count_ += completed;

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/stats.h"
 #include "common/time.h"
 #include "workload/job.h"
@@ -109,15 +110,23 @@ class MetricsCollector
     {
         requeue_latency_.add(seconds);
     }
-    /** Folds a committed placement into the job's placement digest. */
-    void on_placement(cluster::JobId id, const cluster::Placement &p);
+    /**
+     * Folds a committed placement into a job's placement digest (start
+     * from kPlacementBasis; the caller keeps the running value per job).
+     */
+    static uint64_t fold_placement(uint64_t digest,
+                                   const cluster::Placement &p);
+    static constexpr uint64_t kPlacementBasis = Fnv1a::kBasis;
     /** An arrival fired at t; tracks the arrival-window end (streaming
      *  mode; the materialized path derives it from the trace). */
     void on_arrival(TimePoint t);
-    /** @return the appended record (the ops accounting hand-off). In
+    /** @param placement_digest the job's fold_placement() value; read
+     *  only for a job that started.
+     *  @return the appended record (the ops accounting hand-off). In
      *  streaming mode the reference is to a scratch record that stays
      *  valid only until the next record_job call. */
-    const JobRecord &record_job(const workload::Job &job);
+    const JobRecord &record_job(const workload::Job &job,
+                                uint64_t placement_digest = 0);
     ///@}
 
     /** @name Extraction */
@@ -224,14 +233,12 @@ class MetricsCollector
 
   private:
     /** Builds the terminal record (shared by both retention modes). */
-    JobRecord make_record(const workload::Job &job);
+    JobRecord make_record(const workload::Job &job,
+                          uint64_t placement_digest);
     /** Folds buffered records while the id prefix is contiguous. */
     void drain_fold();
 
     std::vector<JobRecord> records_;
-    /** Running placement fold per job; erased when the job's terminal
-     *  record reads it out (bounded by live jobs). */
-    std::map<cluster::JobId, uint64_t> placement_digests_;
     TimeWeightedStat used_gpus_;
     TimeWeightedStat queue_depth_;
     uint64_t preemptions_ = 0;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdarg>
+#include <cstdio>
 #include <unordered_map>
 
 #include "common/log.h"
@@ -27,7 +29,8 @@ TaccStack::TaccStack(StackConfig config, StackArena *arena)
                                               config_.seed)),
       scheduler_(sched::make_scheduler(config_.scheduler,
                                        config_.sched_opts)),
-      usage_(config_.usage_half_life)
+      usage_(config_.usage_half_life),
+      views_(cluster_)
 {
     assert(placement_ && "unknown placement policy name");
     assert(scheduler_ && "unknown scheduler name");
@@ -38,10 +41,8 @@ TaccStack::TaccStack(StackConfig config, StackArena *arena)
             sim_.adopt_storage(std::move(arena->sim_storage));
             arena->has_storage = false;
         }
-        pending_jobs_ = std::move(arena->pending_scratch);
-        pending_jobs_.clear();
-        running_cache_ = std::move(arena->running_scratch);
-        running_cache_.clear();
+        views_.adopt(std::move(arena->pending_scratch),
+                     std::move(arena->running_scratch));
     }
     if (config_.streaming) {
         metrics_.enable_streaming(
@@ -136,16 +137,16 @@ TaccStack::wire_ops()
         return cluster_.occupancy().fragmentation;
     });
     ops_->add_gauge_source(series::kQueueDepth,
-                           [this] { return double(pending_.size()); });
+                           [this] { return double(pending_count()); });
     ops_->add_gauge_source(series::kQueueOldestWait, [this] {
-        if (pending_.empty())
+        const auto pending = views_.pending();
+        if (pending.empty())
             return 0.0;
-        // pending_ is kept in (submit time, id) order: front is oldest.
-        const Job *oldest = find_job(pending_.front());
-        return (sim_.now() - oldest->submit_time()).to_seconds();
+        // The pending view is in (submit time, id) order: front is oldest.
+        return (sim_.now() - pending.front()->submit_time()).to_seconds();
     });
     ops_->add_gauge_source(series::kRunningJobs,
-                           [this] { return double(running_.size()); });
+                           [this] { return double(running_count()); });
     ops_->add_gauge_source(series::kCrossRackJobs, [this] {
         return double(engine_.cross_rack_jobs());
     });
@@ -391,72 +392,60 @@ TaccStack::submit(const workload::TaskSpec &spec,
         return instruction.status();
 
     const JobId id = next_job_id_++;
-    auto job = std::make_unique<Job>(id, spec, profile.value(), sim_.now());
-    Job *ptr = job.get();
-    jobs_.emplace(id, std::move(job));
-    instructions_.emplace(id, std::move(instruction.value()));
+    ++active_jobs_;
+    JobEntry &rec = table_.emplace(id, profile.value(), sim_.now(),
+                                   std::move(instruction.value()));
 
-    // Register unfinished dependencies; completed ones are satisfied.
+    // Register unfinished dependencies, each distinct parent once (a
+    // repeat finds this id last in its list); completed ones are met.
     for (JobId dep : dependencies) {
-        if (find_job(dep)->state() != JobState::kCompleted) {
-            waiting_on_[id].insert(dep);
-            dependents_[dep].push_back(id);
-        }
+        JobEntry &parent = *table_.find(dep);
+        if (parent.job.state() == JobState::kCompleted ||
+            (!parent.dependents.empty() && parent.dependents.back() == id))
+            continue;
+        ++rec.unmet_deps;
+        parent.dependents.push_back(id);
     }
 
-    Status s = ptr->begin_provisioning(sim_.now());
+    Status s = rec.job.begin_provisioning(sim_.now());
     assert(s.is_ok());
-    const Duration provision = instructions_.at(id).provision_time;
-    provisioning_[id] = sim_.schedule_after(
-        provision, "provision-done", [this, id] {
-            provisioning_.erase(id);
-            Job *job = find_job(id);
-            assert(job);
-            Status st = job->finish_provisioning(sim_.now());
+    rec.event = sim_.schedule_after(
+        rec.instruction.provision_time, "provision-done", [this, id] {
+            JobEntry &rec = *table_.find(id);
+            rec.event = 0;
+            Status st = rec.job.finish_provisioning(sim_.now());
             assert(st.is_ok());
-            auto waiting = waiting_on_.find(id);
-            if (waiting != waiting_on_.end() && !waiting->second.empty()) {
-                held_.insert(id); // provisioned, blocked on dependencies
+            if (rec.unmet_deps > 0) {
+                rec.stage = Stage::kHeld; // blocked on dependencies
                 return;
             }
-            waiting_on_.erase(id);
-            enqueue_pending(id);
+            enqueue_pending(rec);
             schedule_now();
         });
     return id;
 }
 
 void
-TaccStack::resolve_dependents(JobId id, bool completed)
+TaccStack::resolve_dependents(JobEntry &rec, bool completed)
 {
-    auto it = dependents_.find(id);
-    if (it == dependents_.end())
-        return;
-    const std::vector<JobId> dependents = std::move(it->second);
-    dependents_.erase(it);
-    for (JobId child : dependents) {
-        Job *job = find_job(child);
-        assert(job);
-        if (job->terminal())
+    const std::vector<JobId> dependents = std::move(rec.dependents);
+    rec.dependents.clear();
+    for (JobId child_id : dependents) {
+        JobEntry *child = table_.find(child_id);
+        // A child killed earlier may already be retired (streaming).
+        if (!child || child->job.terminal())
             continue;
         if (!completed) {
             // Fail-fast cascade: the parent failed or was killed.
-            log_job(*job, cluster_.placement_of(child),
+            log_job(child->job, child->placement,
                     "dependency failed; cancelling");
-            Status s = kill(child);
+            Status s = kill(child_id);
             assert(s.is_ok());
             continue;
         }
-        auto waiting = waiting_on_.find(child);
-        if (waiting == waiting_on_.end())
-            continue;
-        waiting->second.erase(id);
-        if (waiting->second.empty()) {
-            waiting_on_.erase(waiting);
-            if (held_.erase(child) > 0) {
-                enqueue_pending(child);
-                schedule_now();
-            }
+        if (--child->unmet_deps == 0 && child->stage == Stage::kHeld) {
+            enqueue_pending(*child);
+            schedule_now();
         }
     }
 }
@@ -537,73 +526,48 @@ TaccStack::donate_arena(StackArena *arena)
         return;
     arena->sim_storage = sim_.release_storage();
     arena->has_storage = true;
-    pending_jobs_.clear();
-    arena->pending_scratch = std::move(pending_jobs_);
-    running_cache_.clear();
-    arena->running_scratch = std::move(running_cache_);
+    views_.donate(arena->pending_scratch, arena->running_scratch);
 }
 
 void
-TaccStack::enqueue_pending(JobId id)
+TaccStack::enqueue_pending(JobEntry &rec)
 {
-    // Ordered insert keeps the queue in (submit time, id) order even for
-    // requeued (preempted/failed) jobs, whose submit time lies in the
-    // past; schedulers then consume it without re-sorting.
-    const Job *job = find_job(id);
-    assert(job);
-    const auto pos = std::upper_bound(
-        pending_.begin(), pending_.end(), id, [this, job](JobId, JobId rhs) {
-            const Job *r = find_job(rhs);
-            if (job->submit_time() != r->submit_time())
-                return job->submit_time() < r->submit_time();
-            return job->id() < r->id();
-        });
-    pending_.insert(pos, id);
-    metrics_.on_queue_depth(sim_.now(), int(pending_.size()));
-}
-
-void
-TaccStack::remove_pending(JobId id)
-{
-    auto it = std::find(pending_.begin(), pending_.end(), id);
-    if (it != pending_.end()) {
-        pending_.erase(it);
-        metrics_.on_queue_depth(sim_.now(), int(pending_.size()));
-    }
+    // Requeued (preempted/failed) jobs keep their past submit time; the
+    // view's ordered insert keeps the queue in (submit time, id) order,
+    // so schedulers consume it without re-sorting.
+    rec.stage = Stage::kQueued;
+    views_.add_pending(&rec.job);
+    metrics_.on_queue_depth(sim_.now(), int(pending_count()));
 }
 
 Job *
 TaccStack::find_job(JobId id)
 {
-    auto it = jobs_.find(id);
-    return it == jobs_.end() ? nullptr : it->second.get();
+    JobEntry *rec = table_.find(id);
+    return rec ? &rec->job : nullptr;
 }
 
 const Job *
 TaccStack::find_job(JobId id) const
 {
-    auto it = jobs_.find(id);
-    return it == jobs_.end() ? nullptr : it->second.get();
+    const JobEntry *rec = table_.find(id);
+    return rec ? &rec->job : nullptr;
 }
 
 std::vector<const Job *>
 TaccStack::jobs() const
 {
     std::vector<const Job *> out;
-    out.reserve(jobs_.size());
-    for (const auto &[id, job] : jobs_)
-        out.push_back(job.get());
+    out.reserve(table_.size());
+    table_.for_each([&out](const JobEntry &rec) { out.push_back(&rec.job); });
     return out;
 }
 
 bool
 TaccStack::quiescent() const
 {
-    if (arrivals_outstanding_ > 0 || !provisioning_.empty() ||
-        !pending_.empty() || !running_.empty() || !held_.empty() ||
-        !backoff_.empty()) {
+    if (arrivals_outstanding_ > 0 || active_jobs_ > 0)
         return false;
-    }
     // The serving plane counts as pending work until its arrival stream
     // ends and every request resolved (it then retires its replicas).
     if (serve_plane_ && !serve_plane_->idle())
@@ -647,8 +611,8 @@ TaccStack::operator_report() const
     ctx.now = sim_.now();
     ctx.total_gpus = cluster_.total_gpus();
     ctx.used_gpus = cluster_.used_gpus();
-    ctx.running_jobs = running_.size();
-    ctx.pending_jobs = pending_.size();
+    ctx.running_jobs = running_count();
+    ctx.pending_jobs = pending_count();
     ctx.completed_jobs = metrics_.completed_count();
     ctx.failed_jobs = metrics_.failed_count();
     ctx.preemptions = metrics_.preemptions();
@@ -697,15 +661,8 @@ TaccStack::spawn_serve_replica(int slot)
                    result.status().str().c_str());
         return cluster::kInvalidJob;
     }
-    serve_jobs_.insert(result.value());
+    table_.find(result.value())->serve_replica = true;
     return result.value();
-}
-
-void
-TaccStack::notify_serve_stop(JobId id)
-{
-    if (serve_plane_ && serve_jobs_.count(id))
-        serve_plane_->on_replica_down(id);
 }
 
 std::string
@@ -751,136 +708,137 @@ TaccStack::serving_report()
 
 void
 TaccStack::log_job(const Job &job, const cluster::Placement &placement,
-                   const std::string &text)
+                   const char *fmt, ...)
 {
     if (!config_.emit_monitor_logs || placement.empty())
         return;
+    char text[256]; // every caller's text is a short status line
+    va_list ap;
+    va_start(ap, fmt);
+    std::vsnprintf(text, sizeof text, fmt, ap);
+    va_end(ap);
     monitor_.emit_all(sim_.now(), job.id(), placement,
-                      strfmt("[%s] %s", job.spec().name.c_str(),
-                             text.c_str()));
+                      strfmt("[%s] %s", job.spec().name.c_str(), text));
 }
 
 void
-TaccStack::charge_usage(Job &job)
+TaccStack::charge_usage(JobEntry &rec)
 {
-    double &charged = charged_gpu_s_[job.id()];
-    const double delta = job.gpu_seconds() - charged;
+    const double delta = rec.job.gpu_seconds() - rec.charged_gpu_s;
     if (delta > 0) {
-        usage_.charge(job.spec().group, delta, sim_.now());
-        charged = job.gpu_seconds();
+        usage_.charge(rec.job.spec().group, delta, sim_.now());
+        rec.charged_gpu_s = rec.job.gpu_seconds();
     }
 }
 
 void
-TaccStack::release_power(JobId id, const cluster::Placement &placement)
+TaccStack::finalize(JobEntry &rec)
 {
-    if (!power_)
-        return;
-    power_->on_segment_stop(id, sim_.now());
-    // The departing gang may have been the reason its nodes ran
-    // throttled; push the refreshed clocks into the engine.
-    for (const auto &slice : placement.slices) {
-        engine_.set_node_clock(slice.node,
-                               power_->node_clock_of(slice.node));
-    }
-}
-
-void
-TaccStack::finalize(Job &job)
-{
+    Job &job = rec.job;
+    const JobId id = job.id();
+    rec.stage = Stage::kDone;
+    --active_jobs_;
     estimator_.observe(job); // no-op unless the job completed
     if (predict_hub_)
         predict_hub_->observe_completion(job);
     // Drain the job's energy meter even when accounting is off, so the
     // ledger does not grow with terminal jobs.
     const double energy_kwh =
-        power_ ? power_->take_job_energy_kwh(job.id()) : 0.0;
-    const JobRecord &rec = metrics_.record_job(job);
+        power_ ? power_->take_job_energy_kwh(id) : 0.0;
+    const JobRecord &done = metrics_.record_job(job, rec.placement_digest);
     if (ops_) {
         ops::UsageEvent ev;
-        ev.group = rec.group;
-        ev.user = rec.user;
-        ev.finished = rec.finished;
-        ev.wait_s = rec.wait_s;
-        ev.gpu_seconds = rec.gpu_seconds;
-        ev.ideal_gpu_seconds = rec.ideal_s * double(rec.gpus);
-        ev.preemptions = rec.preemptions;
-        ev.started = rec.started;
-        ev.completed = rec.final_state == JobState::kCompleted;
-        ev.failed = rec.final_state == JobState::kFailed;
-        ev.missed_deadline = rec.missed_deadline;
-        if (auto lost = fault_lost_gpu_s_.find(job.id());
-            lost != fault_lost_gpu_s_.end()) {
-            ev.fault_lost_gpu_seconds = lost->second;
-        }
+        ev.group = done.group;
+        ev.user = done.user;
+        ev.finished = done.finished;
+        ev.wait_s = done.wait_s;
+        ev.gpu_seconds = done.gpu_seconds;
+        ev.ideal_gpu_seconds = done.ideal_s * double(done.gpus);
+        ev.preemptions = done.preemptions;
+        ev.started = done.started;
+        ev.completed = done.final_state == JobState::kCompleted;
+        ev.failed = done.final_state == JobState::kFailed;
+        ev.missed_deadline = done.missed_deadline;
+        ev.fault_lost_gpu_seconds = rec.fault_lost_gpu_s;
         ev.energy_kwh = energy_kwh;
         ops_->accounting().record(ev);
     }
-    charged_gpu_s_.erase(job.id());
-    fault_lost_gpu_s_.erase(job.id());
-    requeue_killed_at_.erase(job.id());
-    const JobId id = job.id();
-    resolve_dependents(id, job.state() == JobState::kCompleted);
+    resolve_dependents(rec, job.state() == JobState::kCompleted);
     // A replica job reaching a terminal state hands its slot back to
     // the plane (which respawns a replacement unless shutting down).
-    if (serve_plane_ && serve_jobs_.erase(id) > 0)
+    if (serve_plane_ && rec.serve_replica)
         serve_plane_->on_replica_gone(id);
     if (metrics_.streaming()) {
         // Streaming reclamation: the terminal record is folded, so the
-        // job's state is dead weight — drop it everywhere. Memory now
-        // tracks the live job set, not the trace length. `job` dangles
-        // past the last erase; nothing below may touch it.
+        // job's state is dead weight — retire its record. Memory now
+        // tracks the live job set, not the trace length. `rec` dangles
+        // past the retire; nothing below may touch it.
         engine_.failures().forget(id);
-        instructions_.erase(id);
-        jobs_.erase(id);
+        table_.retire(id);
     }
 }
 
-void
-TaccStack::stop_segment(Job &job, bool count_as_preemption)
+cluster::Placement
+TaccStack::leave_running(JobEntry &rec)
 {
-    auto it = running_.find(job.id());
-    assert(it != running_.end());
-    sim_.cancel(it->second.event);
-    running_.erase(it);
-    running_cache_dirty_ = true;
+    assert(rec.stage == Stage::kRunning);
+    sim_.cancel(rec.event); // no-op for the firing event itself
+    rec.event = 0;
+    views_.remove_running(rec.job.id());
+    cluster::Placement placement = std::move(rec.placement);
+    rec.placement = {};
+    return placement;
+}
 
-    const cluster::Placement placement = cluster_.placement_of(job.id());
-    Status s = count_as_preemption ? job.preempt(sim_.now())
-                                   : job.end_segment(sim_.now());
+void
+TaccStack::release_segment(JobEntry &rec,
+                           const cluster::Placement &placement)
+{
+    const JobId id = rec.job.id();
+    cluster_.release(id);
+    engine_.fs().unregister_reader(id);
+    engine_.unregister_cross_rack_job(id);
+    if (power_) {
+        power_->on_segment_stop(id, sim_.now());
+        // The departing gang may have been the reason its nodes ran
+        // throttled; push the refreshed clocks into the engine.
+        for (const auto &slice : placement.slices) {
+            engine_.set_node_clock(slice.node,
+                                   power_->node_clock_of(slice.node));
+        }
+    }
+    charge_usage(rec);
+}
+
+void
+TaccStack::stop_segment(JobEntry &rec, bool count_as_preemption)
+{
+    const cluster::Placement placement = leave_running(rec);
+    Status s = count_as_preemption ? rec.job.preempt(sim_.now())
+                                   : rec.job.end_segment(sim_.now());
     assert(s.is_ok());
-    cluster_.release(job.id());
-    engine_.fs().unregister_reader(job.id());
-    engine_.unregister_cross_rack_job(job.id());
-    release_power(job.id(), placement);
-    charge_usage(job);
+    release_segment(rec, placement);
     if (count_as_preemption) {
         metrics_.on_preemption();
-        log_job(job, placement, "preempted");
+        log_job(rec.job, placement, "preempted");
     }
     metrics_.on_gpus_in_use(sim_.now(), cluster_.used_gpus());
-    notify_serve_stop(job.id());
+    if (serve_plane_ && rec.serve_replica)
+        serve_plane_->on_replica_down(rec.job.id());
 }
 
 void
 TaccStack::on_segment_complete(JobId id)
 {
-    Job *job = find_job(id);
-    assert(job && job->state() == JobState::kRunning);
-    running_.erase(id);
-    running_cache_dirty_ = true;
-
-    const cluster::Placement placement = cluster_.placement_of(id);
-    Status s = job->complete(sim_.now());
+    JobEntry &rec = *table_.find(id);
+    assert(rec.job.state() == JobState::kRunning);
+    const cluster::Placement placement = leave_running(rec);
+    Status s = rec.job.complete(sim_.now());
     assert(s.is_ok());
-    cluster_.release(id);
-    engine_.fs().unregister_reader(id);
-    engine_.unregister_cross_rack_job(id);
-    release_power(id, placement);
-    charge_usage(*job);
-    log_job(*job, placement, "completed");
+    release_segment(rec, placement);
+    log_job(rec.job, placement, "completed");
     metrics_.on_gpus_in_use(sim_.now(), cluster_.used_gpus());
-    finalize(*job);
+    finalize(rec);
     schedule_now();
 }
 
@@ -889,94 +847,90 @@ TaccStack::on_segment_failure(JobId id)
 {
     // A sampled in-segment fault: transient unless the segment ran on
     // the job's incompatible runtime.
-    auto it = running_.find(id);
-    assert(it != running_.end());
-    const Job *job = find_job(id);
-    assert(job);
+    const JobEntry &rec = *table_.find(id);
+    assert(rec.stage == Stage::kRunning);
     handle_segment_failure(
-        id, engine_.failures().classify(*job, it->second.runtime));
+        id, engine_.failures().classify(rec.job, rec.runtime));
 }
 
 void
 TaccStack::handle_segment_failure(JobId id, exec::FailureKind kind)
 {
-    Job *job = find_job(id);
-    assert(job && job->state() == JobState::kRunning);
-    auto it = running_.find(id);
-    assert(it != running_.end());
-    const double iteration_s = it->second.iteration_s;
-    sim_.cancel(it->second.event); // no-op for the firing event itself
-    running_.erase(it);
-    running_cache_dirty_ = true;
-
-    const cluster::Placement placement = cluster_.placement_of(id);
+    JobEntry &rec = *table_.find(id);
+    Job &job = rec.job;
+    assert(job.state() == JobState::kRunning);
+    const double iteration_s = rec.iteration_s;
+    const cluster::Placement placement = leave_running(rec);
     // A crash rolls progress back to the last periodic checkpoint (or
     // loses the segment when checkpointing is off). The wall-clock the
     // gang held beyond the surviving credited compute is fault loss.
-    const int64_t iters_before = job->iterations_done();
-    const double held_s =
-        (sim_.now() - job->segment_start()).to_seconds();
-    const int gpus = job->running_gpus();
-    Status s = job->end_segment(
-        sim_.now(), engine_.config().checkpoint_interval_s);
+    const int64_t iters_before = job.iterations_done();
+    const double held_s = (sim_.now() - job.segment_start()).to_seconds();
+    const int gpus = job.running_gpus();
+    Status s = job.end_segment(sim_.now(),
+                               engine_.config().checkpoint_interval_s);
     assert(s.is_ok());
     const double useful_s =
-        double(job->iterations_done() - iters_before) * iteration_s;
+        double(job.iterations_done() - iters_before) * iteration_s;
     const double lost_gpu_s =
         std::max(0.0, held_s - useful_s) * double(gpus);
     metrics_.on_fault_loss(lost_gpu_s);
-    fault_lost_gpu_s_[id] += lost_gpu_s;
-    cluster_.release(id);
-    engine_.fs().unregister_reader(id);
-    engine_.unregister_cross_rack_job(id);
-    release_power(id, placement);
-    charge_usage(*job);
+    rec.fault_lost_gpu_s += lost_gpu_s;
+    release_segment(rec, placement);
     metrics_.on_segment_failure();
     metrics_.on_gpus_in_use(sim_.now(), cluster_.used_gpus());
-    notify_serve_stop(id);
+    if (serve_plane_ && rec.serve_replica)
+        serve_plane_->on_replica_down(id);
 
-    const bool out_of_attempts = engine_.failures().on_failure(*job);
+    const bool out_of_attempts = engine_.failures().on_failure(job);
     if (out_of_attempts) {
-        log_job(*job, placement, "failed permanently");
-        Status st = job->fail(sim_.now(), "exceeded max attempts");
+        log_job(job, placement, "failed permanently");
+        Status st = job.fail(sim_.now(), "exceeded max attempts");
         assert(st.is_ok());
-        finalize(*job);
+        finalize(rec);
         schedule_now();
         return;
     }
-    log_job(*job, placement,
+    log_job(job, placement,
             kind == exec::FailureKind::kNodeLocal
                 ? "node fault; requeueing"
                 : "segment failed; requeueing");
-    requeue_killed_at_[id] = sim_.now();
+    rec.requeue_killed_at = sim_.now();
     const Duration backoff = engine_.failures().requeue_delay(
         id, engine_.failures().attempts_of(id));
     if (backoff.is_zero()) {
-        enqueue_pending(id);
+        enqueue_pending(rec);
     } else {
         // Failure-classified exponential backoff: the job sits out the
         // delay before re-entering the queue, damping crash loops.
-        backoff_[id] = sim_.schedule_after(
+        rec.stage = Stage::kBackoff;
+        rec.event = sim_.schedule_after(
             backoff, "requeue-backoff", [this, id] {
-                backoff_.erase(id);
-                enqueue_pending(id);
+                JobEntry &waiting = *table_.find(id);
+                waiting.event = 0;
+                enqueue_pending(waiting);
                 schedule_now();
             });
     }
     schedule_now();
 }
 
+std::vector<JobId>
+TaccStack::residents_of(cluster::NodeId node) const
+{
+    // A snapshot: stopping a gang mutates the node's residency.
+    std::vector<JobId> ids = cluster_.node(node).resident_jobs();
+    std::sort(ids.begin(), ids.end());
+    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+    return ids;
+}
+
 void
 TaccStack::kill_gangs_on(cluster::NodeId node)
 {
-    // Snapshot first: killing a gang mutates the node's residency.
-    std::vector<JobId> victims = cluster_.node(node).resident_jobs();
-    std::sort(victims.begin(), victims.end());
-    victims.erase(std::unique(victims.begin(), victims.end()),
-                  victims.end());
-    for (JobId id : victims) {
-        const Job *job = find_job(id);
-        if (job && job->state() == JobState::kRunning)
+    for (JobId id : residents_of(node)) {
+        const JobEntry *rec = table_.find(id);
+        if (rec && rec->stage == Stage::kRunning)
             handle_segment_failure(id, exec::FailureKind::kNodeLocal);
     }
 }
@@ -984,18 +938,14 @@ TaccStack::kill_gangs_on(cluster::NodeId node)
 void
 TaccStack::evacuate_node(cluster::NodeId node)
 {
-    std::vector<JobId> victims = cluster_.node(node).resident_jobs();
-    std::sort(victims.begin(), victims.end());
-    victims.erase(std::unique(victims.begin(), victims.end()),
-                  victims.end());
-    for (JobId id : victims) {
-        Job *job = find_job(id);
-        if (!job || job->state() != JobState::kRunning)
+    for (JobId id : residents_of(node)) {
+        JobEntry *rec = table_.find(id);
+        if (!rec || rec->stage != Stage::kRunning)
             continue;
         // Graceful: checkpoint on demand, no progress lost, no failure
         // attempt charged — the operator asked, the job did nothing.
-        stop_segment(*job, true);
-        enqueue_pending(id);
+        stop_segment(*rec, true);
+        enqueue_pending(*rec);
     }
     schedule_now();
 }
@@ -1004,98 +954,94 @@ void
 TaccStack::apply_decision(const sched::ScheduleDecision &decision)
 {
     for (JobId victim : decision.preemptions) {
-        Job *job = find_job(victim);
-        if (!job || job->state() != JobState::kRunning)
+        JobEntry *rec = table_.find(victim);
+        if (!rec || rec->stage != Stage::kRunning)
             continue; // stale decision entry; ignore
-        stop_segment(*job, true);
-        enqueue_pending(victim);
+        stop_segment(*rec, true);
+        enqueue_pending(*rec);
     }
 
     for (const auto &start : decision.starts) {
-        Job *job = find_job(start.job);
-        if (!job || job->state() != JobState::kPending)
+        JobEntry *rec = table_.find(start.job);
+        if (!rec || rec->stage != Stage::kQueued)
             continue;
+        Job &job = rec->job;
         // Power authority check against the exact model (the scheduler's
         // gate is conservative): a refused start simply stays pending.
         double activity = 0;
         power::StartDecision power_start;
         if (power_) {
-            activity = engine_.compute_activity(*job, start.placement);
+            activity = engine_.compute_activity(job, start.placement);
             power_start = power_->plan_start(start.placement, activity);
             if (!power_start.admit) {
                 power_->note_deferrals(1);
                 continue;
             }
         }
-        Status alloc = cluster_.allocate(start.job, start.placement);
+        cluster::Placement &granted = rec->placement;
+        Status alloc = cluster_.allocate(start.job, start.placement, &granted);
         if (!alloc.is_ok()) {
             Log::warnf("placement failed for job %llu: %s",
                        (unsigned long long)start.job,
                        alloc.str().c_str());
             continue;
         }
-        const cluster::Placement granted =
-            cluster_.placement_of(start.job);
-        metrics_.on_placement(start.job, granted);
+        rec->placement_digest =
+            MetricsCollector::fold_placement(rec->placement_digest, granted);
         if (power_) {
             // Commit draw and push node clocks before pricing, so
             // plan_segment sees any DVFS stretch this start causes.
-            power_->on_segment_start(start.job, job->spec().group,
-                                     granted, activity,
-                                     power_start.clock, sim_.now());
+            power_->on_segment_start(start.job, job.spec().group, granted,
+                                     activity, power_start.clock,
+                                     sim_.now());
             for (const auto &slice : granted.slices) {
                 engine_.set_node_clock(
                     slice.node, power_->node_clock_of(slice.node));
             }
         }
-        const auto &instruction = instructions_.at(start.job);
         exec::SegmentPlan plan =
-            engine_.plan_segment(*job, granted, instruction.runtime);
+            engine_.plan_segment(job, granted, rec->instruction.runtime);
 
-        Status s = job->begin_segment(sim_.now(), granted.total_gpus(),
-                                      plan.iteration_s, plan.startup);
+        Status s = job.begin_segment(sim_.now(), granted.total_gpus(),
+                                     plan.iteration_s, plan.startup);
         assert(s.is_ok());
-        remove_pending(start.job);
+        views_.remove_pending(&job);
+        metrics_.on_queue_depth(sim_.now(), int(pending_count()));
         engine_.fs().register_reader(start.job);
         if (cluster_.topology().scope_of(granted) ==
             cluster::CommScope::kCrossRack) {
             engine_.register_cross_rack_job(start.job);
         }
 
-        if (auto killed = requeue_killed_at_.find(start.job);
-            killed != requeue_killed_at_.end()) {
+        if (rec->requeue_killed_at) {
             metrics_.on_requeue_latency(
-                (sim_.now() - killed->second).to_seconds());
-            requeue_killed_at_.erase(killed);
+                (sim_.now() - *rec->requeue_killed_at).to_seconds());
+            rec->requeue_killed_at.reset();
         }
 
         const Duration total =
-            plan.startup + job->remaining_runtime(plan.iteration_s);
-        RunningMeta meta;
-        meta.iteration_s = plan.iteration_s;
-        meta.runtime = plan.runtime;
-        meta.expected_end = sim_.now() + total;
+            plan.startup + job.remaining_runtime(plan.iteration_s);
         const JobId id = start.job;
+        rec->stage = Stage::kRunning;
+        rec->iteration_s = plan.iteration_s;
+        rec->runtime = plan.runtime;
+        rec->expected_end = sim_.now() + total;
         if (plan.failure_after) {
-            meta.event = sim_.schedule_after(
+            rec->event = sim_.schedule_after(
                 *plan.failure_after, "segment-fail",
                 [this, id] { on_segment_failure(id); });
         } else {
-            meta.event = sim_.schedule_after(
+            rec->event = sim_.schedule_after(
                 total, "segment-done",
                 [this, id] { on_segment_complete(id); });
         }
-        running_[id] = meta;
-        running_cache_dirty_ = true;
-        log_job(*job, granted,
-                strfmt("started on %zu node(s), %d GPU(s), %s/%s",
-                       granted.slices.size(), granted.total_gpus(),
-                       compiler::runtime_kind_name(plan.runtime),
-                       exec::transport_name(plan.transport)));
-        if (serve_plane_ && serve_jobs_.count(id) &&
-            !granted.slices.empty()) {
+        views_.add_running(&job, granted, rec->expected_end);
+        log_job(job, granted, "started on %zu node(s), %d GPU(s), %s/%s",
+                granted.slices.size(), granted.total_gpus(),
+                compiler::runtime_kind_name(plan.runtime),
+                exec::transport_name(plan.transport));
+        if (serve_plane_ && rec->serve_replica && !granted.slices.empty())
             serve_plane_->on_replica_up(id, granted.slices.front().node);
-        }
     }
     metrics_.on_gpus_in_use(sim_.now(), cluster_.used_gpus());
 }
@@ -1151,39 +1097,17 @@ TaccStack::schedule_now()
                            const cluster::Placement &placement) {
         return engine_.iteration_time_s(job, placement);
     };
-    pending_jobs_.clear();
-    pending_jobs_.reserve(pending_.size());
-    for (JobId id : pending_) {
-        Job *job = find_job(id);
-        assert(job && job->state() == JobState::kPending);
-        pending_jobs_.push_back(job);
-    }
-    ctx.pending = pending_jobs_;
-    ctx.pending_sorted = true; // enqueue_pending keeps (submit, id) order
+    views_.attach(ctx);
     if (predict_hub_) {
         // Backlog series: pending GPU demand sampled per scheduling
         // pass, in event order — deterministic at any worker count.
         double pending_gpus = 0;
-        for (const Job *job : pending_jobs_)
+        for (const Job *job : ctx.pending)
             pending_gpus += double(job->spec().gpus);
         predict_hub_->observe_backlog(pending_gpus);
         ctx.forecast_backlog_gpus =
             predict_hub_->forecast_backlog(pending_gpus);
     }
-    if (running_cache_dirty_) {
-        running_cache_.clear();
-        running_cache_.reserve(running_.size());
-        for (const auto &[id, meta] : running_) {
-            sched::RunningInfo info;
-            info.job = find_job(id);
-            assert(info.job);
-            info.placement = cluster_.placement_of(id);
-            info.expected_end = meta.expected_end;
-            running_cache_.push_back(std::move(info));
-        }
-        running_cache_dirty_ = false;
-    }
-    ctx.running = running_cache_;
 
     const sched::ScheduleDecision decision = scheduler_->schedule(ctx);
     if (power_capped)
@@ -1195,34 +1119,29 @@ TaccStack::schedule_now()
 StatusOr<TimePoint>
 TaccStack::estimated_start(cluster::JobId id) const
 {
-    const Job *job = find_job(id);
-    if (!job)
+    const JobEntry *rec = table_.find(id);
+    if (!rec)
         return Status::not_found(strfmt("job %llu", (unsigned long long)id));
-    if (job->state() == JobState::kRunning)
-        return job->segment_start();
-    if (job->terminal())
+    switch (rec->stage) {
+      case Stage::kRunning:
+        return rec->job.segment_start();
+      case Stage::kDone:
         return Status::failed_precondition("job already finished");
-    if (held_.contains(id)) {
+      case Stage::kHeld:
         return Status::failed_precondition(
             "blocked on pipeline dependencies");
+      case Stage::kBackoff:
+        return Status::failed_precondition("waiting out requeue backoff");
+      case Stage::kProvisioning:
+      case Stage::kQueued:
+        break;
     }
 
     sched::CapacityProfile profile(sim_.now(), cluster_.free_gpus());
-    for (const auto &[running_id, meta] : running_) {
-        profile.add_release(meta.expected_end,
-                            find_job(running_id)->running_gpus());
-    }
+    for (const sched::RunningInfo &r : views_.running())
+        profile.add_release(r.expected_end, r.job->running_gpus());
     // Queue ahead of (and including) the target, in arrival order.
-    std::vector<const Job *> queue;
-    for (cluster::JobId pending_id : pending_)
-        queue.push_back(find_job(pending_id));
-    std::stable_sort(queue.begin(), queue.end(),
-                     [](const Job *a, const Job *b) {
-                         if (a->submit_time() != b->submit_time())
-                             return a->submit_time() < b->submit_time();
-                         return a->id() < b->id();
-                     });
-    for (const Job *ahead : queue) {
+    for (const Job *ahead : views_.pending()) {
         const Duration bound = active_estimator().predict(*ahead);
         const TimePoint fit =
             profile.earliest_fit(ahead->spec().gpus, bound);
@@ -1231,11 +1150,67 @@ TaccStack::estimated_start(cluster::JobId id) const
         profile.reserve(fit, bound, ahead->spec().gpus);
     }
     // Provisioning jobs enter the queue after everything pending now.
-    if (provisioning_.contains(id)) {
-        const Duration bound = active_estimator().predict(*job);
-        return profile.earliest_fit(job->spec().gpus, bound);
+    assert(rec->stage == Stage::kProvisioning);
+    const Duration bound = active_estimator().predict(rec->job);
+    return profile.earliest_fit(rec->job.spec().gpus, bound);
+}
+
+Status
+TaccStack::check_views() const
+{
+    if (Status s = views_.check(); !s.is_ok())
+        return s;
+    const auto pending = views_.pending();
+    const auto running = views_.running();
+    size_t queued = 0, active = 0, next_running = 0;
+    JobId bad = cluster::kInvalidJob;
+    table_.for_each([&](const JobEntry &rec) {
+        const JobState state = rec.job.state();
+        bool ok = rec.stage == Stage::kRunning || rec.placement.empty();
+        switch (rec.stage) {
+          case Stage::kProvisioning:
+            ok &= state == JobState::kProvisioning && rec.event != 0;
+            break;
+          case Stage::kHeld:
+            ok &= state == JobState::kPending && rec.unmet_deps > 0 &&
+                  rec.event == 0;
+            break;
+          case Stage::kBackoff:
+            ok &= state == JobState::kPending && rec.event != 0;
+            break;
+          case Stage::kQueued:
+            ++queued;
+            ok &= state == JobState::kPending && rec.event == 0 &&
+                  std::binary_search(pending.begin(), pending.end(),
+                                     &rec.job, sched::arrives_before);
+            break;
+          case Stage::kRunning: {
+            const sched::RunningInfo *r = next_running < running.size()
+                                              ? &running[next_running]
+                                              : nullptr;
+            ++next_running;
+            ok &= rec.event != 0 && r && r->job == &rec.job &&
+                  r->expected_end == rec.expected_end &&
+                  r->placement.total_gpus() == rec.placement.total_gpus();
+            break;
+          }
+          case Stage::kDone:
+            ok &= rec.job.terminal() && !metrics_.streaming();
+            break;
+        }
+        active += rec.stage != Stage::kDone;
+        if (!ok && bad == cluster::kInvalidJob)
+            bad = rec.job.id();
+    });
+    if (bad != cluster::kInvalidJob) {
+        return Status::internal(strfmt("job %llu's record disagrees with "
+                                       "its stage or views",
+                                       (unsigned long long)bad));
     }
-    return Status::internal("job in no queue");
+    if (queued != pending.size() || next_running != running.size() ||
+        active != active_jobs_)
+        return Status::internal("the views or counts hold unknown jobs");
+    return Status::ok();
 }
 
 void
@@ -1370,40 +1345,32 @@ TaccStack::energy_report() const
 Status
 TaccStack::kill(JobId id)
 {
-    Job *job = find_job(id);
-    if (!job)
+    JobEntry *rec = table_.find(id);
+    if (!rec)
         return Status::not_found(strfmt("job %llu", (unsigned long long)id));
-    if (job->terminal())
+    if (rec->job.terminal())
         return Status::failed_precondition("job already terminal");
 
-    switch (job->state()) {
-      case JobState::kProvisioning: {
-        auto it = provisioning_.find(id);
-        assert(it != provisioning_.end());
-        sim_.cancel(it->second);
-        provisioning_.erase(it);
+    switch (rec->stage) {
+      case Stage::kProvisioning:
+      case Stage::kBackoff:
+        sim_.cancel(rec->event);
+        rec->event = 0;
         break;
-      }
-      case JobState::kPending: {
-        remove_pending(id);
-        held_.erase(id);
-        waiting_on_.erase(id);
-        auto backoff = backoff_.find(id);
-        if (backoff != backoff_.end()) {
-            sim_.cancel(backoff->second);
-            backoff_.erase(backoff);
-        }
+      case Stage::kQueued:
+        views_.remove_pending(&rec->job);
+        metrics_.on_queue_depth(sim_.now(), int(pending_count()));
         break;
-      }
-      case JobState::kRunning:
-        stop_segment(*job, false);
+      case Stage::kRunning:
+        stop_segment(*rec, false);
         break;
-      default:
+      case Stage::kHeld:
+      case Stage::kDone:
         break;
     }
-    Status s = job->kill(sim_.now());
+    Status s = rec->job.kill(sim_.now());
     assert(s.is_ok());
-    finalize(*job);
+    finalize(*rec);
     schedule_now();
     return Status::ok();
 }

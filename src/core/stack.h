@@ -20,7 +20,6 @@
 
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -28,6 +27,7 @@
 #include "common/status.h"
 #include "compiler/compiler.h"
 #include "core/fault_domain.h"
+#include "core/job_table.h"
 #include "core/metrics.h"
 #include "exec/engine.h"
 #include "exec/monitor.h"
@@ -35,6 +35,7 @@
 #include "power/power_manager.h"
 #include "predict/hub.h"
 #include "sched/estimator.h"
+#include "sched/live_views.h"
 #include "sched/placement.h"
 #include "sched/schedulers.h"
 #include "sched/usage.h"
@@ -117,8 +118,9 @@ struct StackConfig {
 /**
  * Recyclable allocations handed between successive TaccStack runs —
  * one arena per sweep worker. Holds the simulator's event slab/heap
- * and the scheduler-context scratch vectors, so back-to-back scenarios
- * skip the allocation ramp-up a fresh stack pays.
+ * and the storage of the pending and running views (sched::LiveViews),
+ * so back-to-back scenarios skip the allocation ramp-up a fresh stack
+ * pays.
  */
 struct StackArena {
     sim::Simulator::Storage sim_storage;
@@ -227,7 +229,8 @@ class TaccStack
      * Estimates when a job will start, from the capacity timeline of
      * running jobs plus the queue ahead of it (each priced by the
      * runtime estimator). Running jobs return their actual segment
-     * start. Held (dependency-blocked) jobs cannot be estimated.
+     * start. Held (dependency-blocked) jobs and jobs waiting out a
+     * requeue backoff cannot be estimated (failed_precondition).
      * The estimate assumes arrival-order scheduling, so it is exact for
      * FIFO-like policies and a good hint for the others — precisely
      * what `squeue --start` gives Slurm users.
@@ -245,7 +248,8 @@ class TaccStack
     workload::Job *find_job(cluster::JobId id);
     const workload::Job *find_job(cluster::JobId id) const;
 
-    /** All jobs ever submitted, in id order. */
+    /** All jobs ever submitted, in id order (streaming mode: the live
+     *  ones; terminal jobs are reclaimed). */
     std::vector<const workload::Job *> jobs() const;
 
     /** @name Node lifecycle (operator verbs + introspection) */
@@ -266,8 +270,16 @@ class TaccStack
     const FaultInjector &fault_injector() const { return *faults_; }
     ///@}
 
-    size_t pending_count() const { return pending_.size(); }
-    size_t running_count() const { return running_.size(); }
+    size_t pending_count() const { return views_.pending().size(); }
+    size_t running_count() const { return views_.running().size(); }
+
+    /**
+     * Test hook: rebuilds every incrementally kept view from the job
+     * table and the cluster and compares (see sched::LiveViews::check),
+     * plus each record's stage against its view membership, placement
+     * and pending event. O(jobs + nodes); never called by the stack.
+     */
+    Status check_views() const;
 
     /** True once every submitted job reached a terminal state and no
      *  arrivals remain. */
@@ -299,45 +311,45 @@ class TaccStack
     bool run_to_completion(uint64_t max_events = 100'000'000);
 
   private:
-    struct RunningMeta {
-        sim::EventId event = 0;
-        TimePoint expected_end;
-        double iteration_s = 0;
-        compiler::RuntimeKind runtime = compiler::RuntimeKind::kContainer;
-    };
-
     void wire_ops();
     /** Pulls and schedules the next arrival window (streaming mode). */
     void refill_stream();
-    void enqueue_pending(cluster::JobId id);
-    void remove_pending(cluster::JobId id);
-    /** Releases/cascades dependents when `id` reaches a terminal state. */
-    void resolve_dependents(cluster::JobId id, bool completed);
+    void enqueue_pending(JobEntry &rec);
+    /** Releases/cascades dependents when `rec` reaches a terminal state. */
+    void resolve_dependents(JobEntry &rec, bool completed);
     void schedule_now();
     void apply_decision(const sched::ScheduleDecision &decision);
+    /** Takes a running job out of the running view (cancelling its
+     *  segment event) and hands back its placement; the caller ends the
+     *  segment, then calls release_segment(). */
+    cluster::Placement leave_running(JobEntry &rec);
+    /** Frees a stopped segment's GPUs, reader slots and draw, and charges
+     *  its usage. */
+    void release_segment(JobEntry &rec, const cluster::Placement &placement);
     /** Stops a running segment (cancel event, release, charge, account). */
-    void stop_segment(workload::Job &job, bool count_as_preemption);
+    void stop_segment(JobEntry &rec, bool count_as_preemption);
     void on_segment_complete(cluster::JobId id);
     void on_segment_failure(cluster::JobId id);
     /** Crash-kills one running segment and requeues (or fails) the job,
      *  with failure-classified backoff and fault-loss accounting. */
     void handle_segment_failure(cluster::JobId id, exec::FailureKind kind);
+    /** Distinct jobs resident on a node, ascending. */
+    std::vector<cluster::JobId> residents_of(cluster::NodeId node) const;
     /** Fault path: every gang on the node dies (node went Down). */
     void kill_gangs_on(cluster::NodeId node);
     /** Drain path: residents are gracefully preempted and requeued. */
     void evacuate_node(cluster::NodeId node);
-    void charge_usage(workload::Job &job);
-    void finalize(workload::Job &job);
+    void charge_usage(JobEntry &rec);
+    /** Accounts a terminal job, resolves its dependents and, in
+     *  streaming mode, retires its record (`rec` dangles afterwards). */
+    void finalize(JobEntry &rec);
     /** Submits the 1-GPU inference job backing a replica slot. */
     cluster::JobId spawn_serve_replica(int slot);
-    /** Tells the plane a replica's segment stopped (crash/preempt). */
-    void notify_serve_stop(cluster::JobId id);
-    /** Releases a stopped segment's draw and refreshes node clocks. */
-    void release_power(cluster::JobId id,
-                       const cluster::Placement &placement);
+    /** Emits a monitor line on every node of the placement; formats
+     *  nothing when monitor logs are off or the placement is empty. */
     void log_job(const workload::Job &job,
-                 const cluster::Placement &placement,
-                 const std::string &text);
+                 const cluster::Placement &placement, const char *fmt,
+                 ...) __attribute__((format(printf, 4, 5)));
 
     StackConfig config_;
     sim::Simulator sim_;
@@ -355,40 +367,16 @@ class TaccStack
     std::unique_ptr<ops::OpsCenter> ops_;
     std::unique_ptr<power::PowerManager> power_;
     std::unique_ptr<serve::RequestPlane> serve_plane_;
-    /** Live replica-backing jobs (lifecycle routed to the plane). */
-    std::set<cluster::JobId> serve_jobs_;
     /** Scratch the scheduler context's power gate points into. */
     sched::PowerGate power_gate_;
 
-    std::map<cluster::JobId, std::unique_ptr<workload::Job>> jobs_;
-    std::map<cluster::JobId, compiler::TaskInstruction> instructions_;
-    /** Kept in (submit time, id) order — the arrival order schedulers
-     *  start from — so decisions skip their re-sort. */
-    std::vector<cluster::JobId> pending_;
-    std::map<cluster::JobId, RunningMeta> running_;
-    /** @name Scheduler-context caches (backing SchedulerContext spans).
-     *  pending_jobs_ is refilled per decision; running_cache_ only when
-     *  the running set changed since the last one. */
-    ///@{
-    std::vector<workload::Job *> pending_jobs_;
-    std::vector<sched::RunningInfo> running_cache_;
-    bool running_cache_dirty_ = true;
-    ///@}
-    std::map<cluster::JobId, sim::EventId> provisioning_;
-    /** Provisioned jobs held back by unfinished dependencies. */
-    std::set<cluster::JobId> held_;
-    /** job -> dependencies not yet completed. */
-    std::map<cluster::JobId, std::set<cluster::JobId>> waiting_on_;
-    /** completed-dependency fan-out: job -> dependents. */
-    std::map<cluster::JobId, std::vector<cluster::JobId>> dependents_;
-    std::map<cluster::JobId, double> charged_gpu_s_;
+    /** Every job's state, one record per id. */
+    JobTable table_;
+    /** Submitted jobs not yet terminal. */
+    size_t active_jobs_ = 0;
+    /** The scheduler's pending/running/held/free views of the table. */
+    sched::LiveViews views_;
     std::unique_ptr<FaultInjector> faults_;
-    /** Jobs waiting out a requeue backoff before re-entering pending_. */
-    std::map<cluster::JobId, sim::EventId> backoff_;
-    /** Fault-kill instants, sampled as requeue latency at next start. */
-    std::map<cluster::JobId, TimePoint> requeue_killed_at_;
-    /** Per-job GPU-seconds destroyed by faults (flows to accounting). */
-    std::map<cluster::JobId, double> fault_lost_gpu_s_;
     /** Scratch for the flaky-node scoreboard's placement veto. */
     std::vector<uint8_t> node_filter_scratch_;
     std::unique_ptr<sim::PeriodicTask> tick_;

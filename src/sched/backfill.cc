@@ -8,7 +8,8 @@
  * blocked job gets a reservation that debits the timeline — for the head
  * of the queue only (EASY) or for every blocked job (conservative). Later
  * candidates therefore cannot start in a way that would delay a
- * reservation.
+ * reservation. Past EASY's one reservation a blocked candidate's window
+ * is never used, so those candidates only ask whether they fit now.
  */
 #include "sched/capacity_profile.h"
 #include "sched/greedy.h"
@@ -21,7 +22,7 @@ ScheduleDecision
 BackfillScheduler::schedule(const SchedulerContext &ctx)
 {
     ScheduleDecision out;
-    FreeView &view = detail::scratch_view(*ctx.cluster);
+    FreeView &view = detail::scratch_view(ctx);
     auto held = detail::held_by_group(ctx);
 
     CapacityProfile profile(ctx.now, view.total_free());
@@ -42,19 +43,23 @@ BackfillScheduler::schedule(const SchedulerContext &ctx)
         const int gpus = job->spec().gpus;
         const Duration bound =
             detail::runtime_bound(ctx, *job, use_estimates_);
+        if (!conservative_ && reserved_head) {
+            if (profile.fits_now(gpus, bound) &&
+                detail::try_start(ctx, view, held, job, gpus, &out)) {
+                profile.reserve(ctx.now, bound, gpus);
+            }
+            continue;
+        }
         const TimePoint fit = profile.earliest_fit(gpus, bound);
         if (fit == ctx.now &&
             detail::try_start(ctx, view, held, job, gpus, &out)) {
             profile.reserve(ctx.now, bound, gpus);
             continue;
         }
-        // Blocked (by capacity, placement fragmentation, or quota).
-        if (conservative_) {
-            profile.reserve(fit, bound, gpus);
-        } else if (!reserved_head) {
-            profile.reserve(fit, bound, gpus);
-            reserved_head = true;
-        }
+        // Blocked (by capacity, placement fragmentation, or quota):
+        // reserve its window. EASY stops reserving after the head.
+        profile.reserve(fit, bound, gpus);
+        reserved_head = true;
     }
     return out;
 }

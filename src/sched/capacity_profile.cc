@@ -72,6 +72,18 @@ CapacityProfile::earliest_fit(int gpus, Duration duration) const
     return TimePoint::max();
 }
 
+bool
+CapacityProfile::fits_now(int gpus, Duration duration) const
+{
+    assert(gpus >= 0);
+    const TimePoint end = clamp_end(now_, duration);
+    for (size_t i = 0; i < time_.size() && time_[i] < end; ++i) {
+        if (capacity_[i] < gpus)
+            return false;
+    }
+    return true;
+}
+
 void
 CapacityProfile::reserve(TimePoint start, Duration duration, int gpus)
 {

@@ -37,6 +37,13 @@ class CapacityProfile
      */
     TimePoint earliest_fit(int gpus, Duration duration) const;
 
+    /**
+     * True when capacity >= gpus throughout [now, now + duration), i.e.
+     * exactly when earliest_fit(gpus, duration) == now; stops at the
+     * first short step instead of searching for a later window.
+     */
+    bool fits_now(int gpus, Duration duration) const;
+
     /** Debits `gpus` of capacity over [start, start + duration). */
     void reserve(TimePoint start, Duration duration, int gpus);
 

@@ -19,7 +19,7 @@ ScheduleDecision
 DrfScheduler::schedule(const SchedulerContext &ctx)
 {
     ScheduleDecision out;
-    FreeView &view = detail::scratch_view(*ctx.cluster);
+    FreeView &view = detail::scratch_view(ctx);
     auto held = detail::held_by_group(ctx);
 
     const double total_gpus = std::max(1, ctx.cluster->total_gpus());

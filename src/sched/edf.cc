@@ -47,7 +47,7 @@ ScheduleDecision
 EdfScheduler::schedule(const SchedulerContext &ctx)
 {
     ScheduleDecision out;
-    FreeView &view = detail::scratch_view(*ctx.cluster);
+    FreeView &view = detail::scratch_view(ctx);
     auto held = detail::held_by_group(ctx);
     std::unordered_set<cluster::JobId> already_victim;
 
@@ -82,34 +82,8 @@ EdfScheduler::schedule(const SchedulerContext &ctx)
                              return a->job->absolute_deadline() >
                                     b->job->absolute_deadline();
                          });
-
-        std::vector<const RunningInfo *> chosen;
-        bool started = false;
-        for (const RunningInfo *victim : candidates) {
-            if (already_victim.contains(victim->job->id()))
-                continue;
-            view.give(victim->placement);
-            held[size_t(victim->job->group_id())] -=
-                victim->job->running_gpus();
-            chosen.push_back(victim);
-            if (view.total_free() < job->spec().gpus)
-                continue;
-            if (detail::try_start(ctx, view, held, job,
-                                  job->spec().gpus, &out)) {
-                for (const RunningInfo *v : chosen) {
-                    out.preemptions.push_back(v->job->id());
-                    already_victim.insert(v->job->id());
-                }
-                started = true;
-                break;
-            }
-        }
-        if (!started) {
-            for (const RunningInfo *v : chosen) {
-                view.take(v->placement);
-                held[size_t(v->job->group_id())] += v->job->running_gpus();
-            }
-        }
+        detail::try_start_with_preemption(ctx, view, held, job,
+                                          candidates, already_victim, &out);
     }
     return out;
 }

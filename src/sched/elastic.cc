@@ -79,7 +79,7 @@ ScheduleDecision
 ElasticScheduler::schedule(const SchedulerContext &ctx)
 {
     ScheduleDecision out;
-    FreeView &view = detail::scratch_view(*ctx.cluster);
+    FreeView &view = detail::scratch_view(ctx);
     auto held = detail::held_by_group(ctx);
 
     // Fixed-size pending jobs first, arrival order, skipping blockers.

@@ -16,29 +16,21 @@ FreeView::reset(const cluster::Cluster &cluster)
 {
     const size_t n = size_t(cluster.node_count());
     const auto &health = cluster.health();
-    masked_ = !health.all_healthy() && health.schedulable_count() <
-                                           health.node_count();
     free_.clear();
     capacity_.clear();
+    schedulable_.clear();
     free_.reserve(n);
     capacity_.reserve(n);
-    if (masked_) {
-        schedulable_.clear();
-        schedulable_.reserve(n);
-        total_free_ = 0;
-        for (const auto &node : cluster.nodes()) {
-            const bool usable = health.schedulable(node.id());
-            schedulable_.push_back(usable ? 1 : 0);
-            free_.push_back(usable ? node.free_gpu_count() : 0);
-            capacity_.push_back(node.gpu_count());
-            total_free_ += free_.back();
-        }
-    } else {
-        for (const auto &node : cluster.nodes()) {
-            free_.push_back(node.free_gpu_count());
-            capacity_.push_back(node.gpu_count());
-        }
-        total_free_ = cluster.free_gpus();
+    schedulable_.reserve(n);
+    masked_ = false;
+    total_free_ = 0;
+    for (const auto &node : cluster.nodes()) {
+        const bool usable = health.schedulable(node.id());
+        masked_ |= !usable;
+        schedulable_.push_back(usable ? 1 : 0);
+        free_.push_back(usable ? node.free_gpu_count() : 0);
+        capacity_.push_back(node.gpu_count());
+        total_free_ += free_.back();
     }
     max_capacity_ = cluster.max_gpus_per_node();
     nodes_per_rack_ = cluster.topology().config().nodes_per_rack;
@@ -60,6 +52,26 @@ FreeView::reset(const cluster::Cluster &cluster)
     for (int f = max_capacity_; f >= 0; --f) {
         running += bucket_count_[size_t(f)];
         count_ge_[size_t(f)] = running;
+    }
+}
+
+void
+FreeView::sync_health(const cluster::Cluster &cluster)
+{
+    const auto &health = cluster.health();
+    masked_ = false;
+    for (size_t i = 0; i < free_.size(); ++i) {
+        const auto node = cluster::NodeId(i);
+        const uint8_t usable = health.schedulable(node) ? 1 : 0;
+        if (usable != schedulable_[i]) {
+            const int f = free_[i];
+            const int to = usable ? cluster.node(node).free_gpu_count() : 0;
+            free_[i] = to;
+            total_free_ += to - f;
+            move_bucket(node, f, to);
+            schedulable_[i] = usable;
+        }
+        masked_ |= !usable;
     }
 }
 

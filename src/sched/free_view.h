@@ -43,6 +43,19 @@ class FreeView
      */
     void reset(const cluster::Cluster &cluster);
 
+    /**
+     * Brings the health mask up to date with the cluster's tracker,
+     * touching only nodes whose schedulability changed: a newly masked
+     * node drops to 0 free, a newly usable one takes the cluster's free
+     * count. A view kept current by take()/give() of every allocation
+     * and release then equals a fresh reset() of the cluster.
+     */
+    void sync_health(const cluster::Cluster &cluster);
+
+    /** Same per-node state, mask and index (a fresh reset() of the same
+     *  cluster compares equal to a view kept current by deltas). */
+    bool operator==(const FreeView &) const = default;
+
     int free(cluster::NodeId node) const { return free_[node]; }
 
     /** False when the node is health-masked out of this view. */
@@ -113,7 +126,7 @@ class FreeView
 
     std::vector<int> free_;
     std::vector<int> capacity_;
-    /** Health mask; empty (masked_ == false) when every node is usable. */
+    /** Health mask, one entry per node; masked_ is true when any is 0. */
     std::vector<uint8_t> schedulable_;
     bool masked_ = false;
     int total_free_ = 0;

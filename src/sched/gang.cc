@@ -9,6 +9,7 @@
  * jobs)" mode the paper lists among Slurm's strategies.
  */
 #include <algorithm>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "sched/greedy.h"
@@ -26,9 +27,9 @@ GangScheduler::schedule(const SchedulerContext &ctx)
     // Candidates: every non-terminal job; least-recently-served first,
     // then arrival order.
     std::vector<workload::Job *> candidates = detail::pending_by_arrival(ctx);
-    std::unordered_set<cluster::JobId> running_ids;
+    std::unordered_map<cluster::JobId, const RunningInfo *> running_of;
     for (const auto &r : ctx.running) {
-        running_ids.insert(r.job->id());
+        running_of.emplace(r.job->id(), &r);
         candidates.push_back(r.job);
     }
     std::stable_sort(candidates.begin(), candidates.end(),
@@ -46,7 +47,7 @@ GangScheduler::schedule(const SchedulerContext &ctx)
                      });
 
     // Treat every preemptible running gang's GPUs as reclaimable.
-    FreeView &view = detail::scratch_view(*ctx.cluster);
+    FreeView &view = detail::scratch_view(ctx);
     auto held = detail::held_by_group(ctx);
     std::vector<const RunningInfo *> stoppable;
     for (const auto &r : ctx.running) {
@@ -60,7 +61,8 @@ GangScheduler::schedule(const SchedulerContext &ctx)
     // Fill the cluster in service order.
     std::unordered_set<cluster::JobId> target;
     for (workload::Job *job : candidates) {
-        const bool is_running = running_ids.contains(job->id());
+        const auto running = running_of.find(job->id());
+        const bool is_running = running != running_of.end();
         if (is_running && !job->spec().preemptible) {
             // Pinned: it keeps running regardless.
             target.insert(job->id());
@@ -70,16 +72,9 @@ GangScheduler::schedule(const SchedulerContext &ctx)
         if (is_running) {
             // Keep the existing placement if the view still has room for
             // it (it does unless an earlier candidate claimed the GPUs).
-            bool room = true;
-            for (const auto &slice : ctx.cluster->placement_of(job->id())
-                                         .slices) {
-                if (view.free(slice.node) < int(slice.gpu_indices.size())) {
-                    room = false;
-                    break;
-                }
-            }
-            if (room) {
-                view.take(ctx.cluster->placement_of(job->id()));
+            const cluster::Placement &placement = running->second->placement;
+            if (view.fits(placement)) {
+                view.take(placement);
                 held[size_t(job->group_id())] += job->running_gpus();
                 target.insert(job->id());
                 last_served_[job->id()] = round_;

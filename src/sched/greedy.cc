@@ -4,6 +4,7 @@
 
 #include "common/interner.h"
 #include "sched/estimator.h"
+#include "sched/live_views.h"
 #include "sched/placement.h"
 #include "sched/usage.h"
 
@@ -13,6 +14,12 @@ std::vector<int>
 held_by_group(const SchedulerContext &ctx)
 {
     std::vector<int> held(size_t(StringInterner::groups().size()), 0);
+    if (!ctx.held_gpus.empty()) {
+        std::copy_n(ctx.held_gpus.begin(),
+                    std::min(ctx.held_gpus.size(), held.size()),
+                    held.begin());
+        return held;
+    }
     for (const auto &r : ctx.running)
         held[size_t(r.job->group_id())] += r.job->running_gpus();
     return held;
@@ -85,12 +92,46 @@ try_start(const SchedulerContext &ctx, FreeView &view,
     return true;
 }
 
+bool
+try_start_with_preemption(const SchedulerContext &ctx, FreeView &view,
+                          std::vector<int> &held, workload::Job *job,
+                          const std::vector<const RunningInfo *> &candidates,
+                          std::unordered_set<cluster::JobId> &already_victim,
+                          ScheduleDecision *out)
+{
+    std::vector<const RunningInfo *> chosen;
+    for (const RunningInfo *victim : candidates) {
+        if (already_victim.contains(victim->job->id()))
+            continue;
+        view.give(victim->placement);
+        held[size_t(victim->job->group_id())] -= victim->job->running_gpus();
+        chosen.push_back(victim);
+        if (view.total_free() < job->spec().gpus)
+            continue; // cheap lower bound before planning
+        if (try_start(ctx, view, held, job, job->spec().gpus, out)) {
+            for (const RunningInfo *v : chosen) {
+                out->preemptions.push_back(v->job->id());
+                already_victim.insert(v->job->id());
+            }
+            return true;
+        }
+    }
+    // Roll back.
+    for (const RunningInfo *v : chosen) {
+        view.take(v->placement);
+        held[size_t(v->job->group_id())] += v->job->running_gpus();
+    }
+    return false;
+}
+
 ScheduleDecision
 greedy(const SchedulerContext &ctx, const std::vector<workload::Job *> &order,
        bool stop_on_block)
 {
     ScheduleDecision out;
-    FreeView &view = scratch_view(*ctx.cluster);
+    if (order.empty())
+        return out;
+    FreeView &view = scratch_view(ctx);
     auto held = held_by_group(ctx);
     for (workload::Job *job : order) {
         if (!try_start(ctx, view, held, job, job->spec().gpus, &out) &&
@@ -118,23 +159,19 @@ pending_by_arrival(const SchedulerContext &ctx)
 {
     std::vector<workload::Job *> order(ctx.pending.begin(),
                                        ctx.pending.end());
-    if (!ctx.pending_sorted) {
-        std::stable_sort(
-            order.begin(), order.end(),
-            [](const workload::Job *a, const workload::Job *b) {
-                if (a->submit_time() != b->submit_time())
-                    return a->submit_time() < b->submit_time();
-                return a->id() < b->id();
-            });
-    }
+    if (!ctx.pending_sorted)
+        std::stable_sort(order.begin(), order.end(), arrives_before);
     return order;
 }
 
 FreeView &
-scratch_view(const cluster::Cluster &cluster)
+scratch_view(const SchedulerContext &ctx)
 {
     static thread_local FreeView view;
-    view.reset(cluster);
+    if (ctx.free)
+        view = *ctx.free;
+    else
+        view.reset(*ctx.cluster);
     return view;
 }
 

@@ -4,6 +4,7 @@
  */
 #pragma once
 
+#include <unordered_set>
 #include <vector>
 
 #include "sched/free_view.h"
@@ -12,9 +13,10 @@
 namespace tacc::sched::detail {
 
 /**
- * GPUs currently held per accounting group (from the running set),
- * indexed by workload::Job::group_id(). Sized for every group interned
- * so far, so any job visible to the scheduler indexes in range.
+ * GPUs currently held per accounting group, indexed by
+ * workload::Job::group_id(): a copy of the context's held_gpus, or their
+ * sum over the running set in an ad-hoc context. Sized for every group
+ * interned so far, so any job visible to the scheduler indexes in range.
  */
 std::vector<int> held_by_group(const SchedulerContext &ctx);
 
@@ -27,6 +29,18 @@ std::vector<int> held_by_group(const SchedulerContext &ctx);
 bool try_start(const SchedulerContext &ctx, FreeView &view,
                std::vector<int> &held, workload::Job *job, int gpus,
                ScheduleDecision *out);
+
+/**
+ * Tries to start `job` by preempting candidates (in the given order) until
+ * a placement plan succeeds. On success the chosen victims and the start
+ * are appended to `out` and the view/held bookkeeping reflects them; on
+ * failure all trial state is rolled back.
+ */
+bool try_start_with_preemption(
+    const SchedulerContext &ctx, FreeView &view, std::vector<int> &held,
+    workload::Job *job, const std::vector<const RunningInfo *> &candidates,
+    std::unordered_set<cluster::JobId> &already_victim,
+    ScheduleDecision *out);
 
 /**
  * Plans starts for jobs in the given order.
@@ -44,13 +58,14 @@ ScheduleDecision greedy(const SchedulerContext &ctx,
 std::vector<workload::Job *> pending_by_arrival(const SchedulerContext &ctx);
 
 /**
- * Thread-local trial view re-snapshotted from the cluster. Schedulers run
- * on every queue event; reusing one view's storage avoids re-allocating
- * the per-node arrays and the bucket index each decision. At most one
+ * Thread-local trial view: a copy of the context's live free view, or a
+ * fresh snapshot of the cluster in an ad-hoc context. Schedulers run on
+ * every queue event; reusing one view's storage avoids re-allocating the
+ * per-node arrays and the bucket index each decision. At most one
  * scratch view may be in use at a time (every policy builds exactly one
  * view per decision, so this holds today).
  */
-FreeView &scratch_view(const cluster::Cluster &cluster);
+FreeView &scratch_view(const SchedulerContext &ctx);
 
 /** Effective per-node GPU cap for a job in this cluster. */
 int per_node_limit(const SchedulerContext &ctx, const workload::Job &job);

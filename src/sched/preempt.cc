@@ -37,52 +37,13 @@ preemption_loss_gpu_s(const RunningInfo &r, TimePoint now)
     return double(r.job->running_gpus()) * (age_s > 0 ? age_s : 0.0);
 }
 
-/**
- * Tries to start `job` by preempting candidates (in the given order) until
- * a placement plan succeeds. On success the chosen victims and the start
- * are appended to `out` and the view/held bookkeeping reflects them; on
- * failure all trial state is rolled back.
- */
-bool
-try_start_with_preemption(const SchedulerContext &ctx, FreeView &view,
-                          std::vector<int> &held,
-                          workload::Job *job,
-                          const std::vector<const RunningInfo *> &candidates,
-                          std::unordered_set<cluster::JobId> &already_victim,
-                          ScheduleDecision *out)
-{
-    std::vector<const RunningInfo *> chosen;
-    for (const RunningInfo *victim : candidates) {
-        if (already_victim.contains(victim->job->id()))
-            continue;
-        view.give(victim->placement);
-        held[size_t(victim->job->group_id())] -= victim->job->running_gpus();
-        chosen.push_back(victim);
-        if (view.total_free() < job->spec().gpus)
-            continue; // cheap lower bound before planning
-        if (detail::try_start(ctx, view, held, job, job->spec().gpus, out)) {
-            for (const RunningInfo *v : chosen) {
-                out->preemptions.push_back(v->job->id());
-                already_victim.insert(v->job->id());
-            }
-            return true;
-        }
-    }
-    // Roll back.
-    for (const RunningInfo *v : chosen) {
-        view.take(v->placement);
-        held[size_t(v->job->group_id())] += v->job->running_gpus();
-    }
-    return false;
-}
-
 } // namespace
 
 ScheduleDecision
 QosPreemptScheduler::schedule(const SchedulerContext &ctx)
 {
     ScheduleDecision out;
-    FreeView &view = detail::scratch_view(*ctx.cluster);
+    FreeView &view = detail::scratch_view(ctx);
     auto held = detail::held_by_group(ctx);
     std::unordered_set<cluster::JobId> already_victim;
 
@@ -117,8 +78,8 @@ QosPreemptScheduler::schedule(const SchedulerContext &ctx)
                              return a->job->segment_start() >
                                     b->job->segment_start();
                          });
-        try_start_with_preemption(ctx, view, held, job, candidates,
-                                  already_victim, &out);
+        detail::try_start_with_preemption(ctx, view, held, job,
+                                          candidates, already_victim, &out);
     }
     return out;
 }
@@ -127,7 +88,7 @@ ScheduleDecision
 LasScheduler::schedule(const SchedulerContext &ctx)
 {
     ScheduleDecision out;
-    FreeView &view = detail::scratch_view(*ctx.cluster);
+    FreeView &view = detail::scratch_view(ctx);
     auto held = detail::held_by_group(ctx);
     std::unordered_set<cluster::JobId> already_victim;
 
@@ -164,8 +125,8 @@ LasScheduler::schedule(const SchedulerContext &ctx)
                              return a->job->attained_gpu_seconds(ctx.now) >
                                     b->job->attained_gpu_seconds(ctx.now);
                          });
-        try_start_with_preemption(ctx, view, held, job, candidates,
-                                  already_victim, &out);
+        detail::try_start_with_preemption(ctx, view, held, job,
+                                          candidates, already_victim, &out);
     }
     return out;
 }

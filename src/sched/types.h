@@ -25,6 +25,7 @@
 
 namespace tacc::sched {
 
+class FreeView;
 class PlacementPolicy;
 class QuotaManager;
 class RuntimeEstimator;
@@ -125,9 +126,10 @@ struct RunningInfo {
 };
 
 /**
- * Snapshot handed to Scheduler::schedule(). The pending/running views
- * reference storage owned by the caller (the core keeps both cached
- * between decisions); they must stay alive and unchanged for the call.
+ * Snapshot handed to Scheduler::schedule(). The pending/running/free/held
+ * views reference storage owned by the caller (the core keeps them
+ * current between decisions, see LiveViews); they must stay alive and
+ * unchanged for the call.
  */
 struct SchedulerContext {
     TimePoint now;
@@ -139,7 +141,19 @@ struct SchedulerContext {
      * their re-sort. False for ad-hoc contexts (tests, tools).
      */
     bool pending_sorted = false;
+    /** Running jobs; the core hands them over in ascending id order. */
     std::span<const RunningInfo> running;
+    /**
+     * Free GPUs per node as of `running`, health-masked (see FreeView).
+     * Null in ad-hoc contexts, where scratch_view() snapshots `cluster`.
+     */
+    const FreeView *free = nullptr;
+    /**
+     * GPUs `running` holds per group, indexed by Job::group_id() (short
+     * entries read as 0). Empty in ad-hoc contexts, where
+     * held_by_group() sums `running`.
+     */
+    std::span<const int> held_gpus;
     const cluster::Cluster *cluster = nullptr;
     PlacementPolicy *placement = nullptr;
     /** Decayed per-group service usage; null if untracked. */

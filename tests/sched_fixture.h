@@ -1,7 +1,9 @@
 /**
  * @file
  * Shared fixture for scheduler unit tests: builds a cluster, pending and
- * running jobs, and a SchedulerContext with controllable knobs.
+ * running jobs, and a SchedulerContext with controllable knobs. Jobs enter
+ * the same sched::LiveViews the stack keeps, so policies see the context
+ * a live deployment hands them.
  */
 #pragma once
 
@@ -11,6 +13,7 @@
 #include <vector>
 
 #include "cluster/cluster.h"
+#include "sched/live_views.h"
 #include "sched/placement.h"
 #include "sched/schedulers.h"
 #include "sched/usage.h"
@@ -31,6 +34,7 @@ class SchedFixture : public ::testing::Test
         config.topology.nodes_per_rack = nodes_per_rack;
         config.node.gpu_count = gpus_per_node;
         cluster_ = std::make_unique<cluster::Cluster>(config);
+        views_ = std::make_unique<LiveViews>(*cluster_);
         placement_ = std::make_unique<PackPlacement>();
     }
 
@@ -75,7 +79,7 @@ class SchedFixture : public ::testing::Test
     add_pending(const JobOptions &opts)
     {
         workload::Job *job = make_job(opts);
-        pending_.push_back(job);
+        views_->add_pending(job);
         return job;
     }
 
@@ -113,12 +117,23 @@ class SchedFixture : public ::testing::Test
         }
         EXPECT_TRUE(
             job->begin_segment(now_, opts.gpus, iteration_s_).is_ok());
-        RunningInfo info;
-        info.job = job;
-        info.placement = cluster_->placement_of(job->id());
-        info.expected_end = expected_end;
-        running_.push_back(info);
+        views_->add_running(job, cluster_->placement_of(job->id()),
+                            expected_end);
         return job;
+    }
+
+    /** Starts a pending job on a planned placement, as the core does. */
+    void
+    start_pending(workload::Job *job, const cluster::Placement &placement,
+                  TimePoint expected_end)
+    {
+        views_->remove_pending(job);
+        EXPECT_TRUE(cluster_->allocate(job->id(), placement).is_ok());
+        EXPECT_TRUE(job->begin_segment(now_, placement.total_gpus(),
+                                       iteration_s_)
+                        .is_ok());
+        views_->add_running(job, cluster_->placement_of(job->id()),
+                            expected_end);
     }
 
     SchedulerContext
@@ -126,8 +141,7 @@ class SchedFixture : public ::testing::Test
     {
         SchedulerContext c;
         c.now = now_;
-        c.pending = pending_;
-        c.running = running_;
+        views_->attach(c);
         c.cluster = cluster_.get();
         c.placement = placement_.get();
         c.usage = &usage_;
@@ -153,8 +167,8 @@ class SchedFixture : public ::testing::Test
     UsageTracker usage_{Duration::hours(24)};
     QuotaManager quota_;
     std::vector<std::unique_ptr<workload::Job>> jobs_;
-    std::vector<workload::Job *> pending_;
-    std::vector<RunningInfo> running_;
+    /** Pending and running jobs, the held GPUs and the free view. */
+    std::unique_ptr<LiveViews> views_;
     TimePoint now_ = TimePoint::origin();
     double iteration_s_ = 1.0;
     cluster::JobId next_id_ = 1;

@@ -133,5 +133,37 @@ TEST(CapacityProfile, EarliestFitMatchesBruteForce)
     }
 }
 
+TEST(CapacityProfile, FitsNowMatchesBruteForce)
+{
+    // Same whole-second profiles as above: "fits now" must be exactly
+    // "capacity >= gpus at every second of [now, now + len)", which is
+    // also exactly earliest_fit(...) == now.
+    Rng rng(11);
+    for (int round = 0; round < 300; ++round) {
+        CapacityProfile p(t0, int(rng.uniform_int(0, 8)));
+        const int ops = int(rng.uniform_int(0, 12));
+        for (int k = 0; k < ops; ++k) {
+            const TimePoint at = t0 + Duration::seconds(rng.uniform_int(0, 60));
+            const int gpus = int(rng.uniform_int(0, 6));
+            if (rng.bernoulli(0.5))
+                p.add_release(at, gpus);
+            else
+                p.reserve(at, Duration::seconds(rng.uniform_int(0, 40)), gpus);
+        }
+        for (int q = 0; q < 20; ++q) {
+            const int gpus = int(rng.uniform_int(0, 12));
+            const int64_t len = rng.uniform_int(0, 50);
+            bool expected = true;
+            for (int64_t i = 0; i < len && expected; ++i)
+                expected = p.capacity_at(t0 + Duration::seconds(i)) >= gpus;
+            const Duration d = Duration::seconds(len);
+            EXPECT_EQ(p.fits_now(gpus, d), expected)
+                << "round " << round << " gpus " << gpus << " len " << len;
+            EXPECT_EQ(p.fits_now(gpus, d), p.earliest_fit(gpus, d) == t0)
+                << "round " << round << " gpus " << gpus << " len " << len;
+        }
+    }
+}
+
 } // namespace
 } // namespace tacc::sched

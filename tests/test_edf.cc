@@ -24,7 +24,7 @@ class EdfTest : public SchedFixture
         // Rebuild with a deadline: easier to mutate via a fresh spec.
         workload::TaskSpec spec = job->spec();
         spec.deadline = deadline;
-        pending_.pop_back();
+        views_->remove_pending(job);
         jobs_.pop_back();
         auto profile =
             workload::ModelCatalog::instance().find(spec.model);
@@ -32,9 +32,10 @@ class EdfTest : public SchedFixture
             next_id_++, spec, profile.value(), submit);
         EXPECT_TRUE(owned->begin_provisioning(submit).is_ok());
         EXPECT_TRUE(owned->finish_provisioning(submit).is_ok());
-        pending_.push_back(owned.get());
+        workload::Job *out = owned.get();
+        views_->add_pending(out);
         jobs_.push_back(std::move(owned));
-        return pending_.back();
+        return out;
     }
 };
 

@@ -96,11 +96,11 @@ TEST_P(SchedulerInvariants, DecisionIsSound)
 
     std::set<cluster::JobId> pending_ids, running_ids;
     std::map<cluster::JobId, workload::Job *> by_id;
-    for (auto *job : pending_) {
+    for (auto *job : views_->pending()) {
         pending_ids.insert(job->id());
         by_id[job->id()] = job;
     }
-    for (auto &r : running_) {
+    for (auto &r : views_->running()) {
         running_ids.insert(r.job->id());
         by_id[r.job->id()] = r.job;
     }
@@ -124,7 +124,7 @@ TEST_P(SchedulerInvariants, DecisionIsSound)
     // and committable placements.
     std::set<cluster::JobId> started_ids;
     std::map<std::string, int> held;
-    for (auto &r : running_) {
+    for (auto &r : views_->running()) {
         if (!preempted.contains(r.job->id()))
             held[r.job->spec().group] += r.job->running_gpus();
     }

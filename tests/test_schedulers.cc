@@ -119,7 +119,7 @@ TEST_F(FairShareTest, AgeEventuallyDominates)
     auto *new_batch = add_pending({.gpus = 1, .qos = QosClass::kBatch});
     now_ = TimePoint::origin() + Duration::hours(13);
     new_batch->kill(now_); // recreate: want a *fresh* batch job
-    pending_.pop_back();
+    views_->remove_pending(new_batch);
     auto *fresh = add_pending({.gpus = 1, .qos = QosClass::kBatch,
                                .submit = now_});
     auto c = ctx();
@@ -301,16 +301,7 @@ TEST_F(GangTest, RotatesGangsAcrossRounds)
     EXPECT_EQ(started(d1), (std::vector<cluster::JobId>{a->id()}));
 
     // Apply: A runs, B pending.
-    pending_.clear();
-    pending_.push_back(b);
-    EXPECT_TRUE(cluster_->allocate(a->id(), d1.starts[0].placement)
-                    .is_ok());
-    EXPECT_TRUE(a->begin_segment(now_, 16, 1.0).is_ok());
-    RunningInfo info;
-    info.job = a;
-    info.placement = cluster_->placement_of(a->id());
-    info.expected_end = now_ + 1000_s;
-    running_.push_back(info);
+    start_pending(a, d1.starts[0].placement, now_ + 1000_s);
 
     // Round 2: A is preempted, B starts (least recently served).
     now_ += 10_min;

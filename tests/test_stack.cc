@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "core/stack.h"
+#include "driver/sweep.h"
 
 namespace tacc::core {
 namespace {
@@ -366,6 +367,38 @@ TEST(TaccStack, EstimatedStartOfHeldJobIsUnknown)
     EXPECT_FALSE(stack.estimated_start(child.value()).is_ok());
     ASSERT_TRUE(stack.kill(parent.value()).is_ok());
     ASSERT_TRUE(stack.run_to_completion());
+}
+
+TEST(TaccStack, EstimatedStartOfJobInRequeueBackoffIsUnknown)
+{
+    // A storm's node crash kills a running gang; the job requeues after
+    // a backoff, during which it is pending but in no queue.
+    StackConfig config = small_config();
+    config.cluster.topology.nodes_per_rack = 4;
+    ASSERT_TRUE(driver::apply_fault_mode("storm", &config).is_ok());
+    TaccStack stack(config);
+    for (int i = 0; i < 4; ++i) {
+        workload::TaskSpec s = spec("long-" + std::to_string(i), 8,
+                                    100'000'000);
+        s.time_limit = Duration::days(365);
+        ASSERT_TRUE(stack.submit(s).is_ok());
+    }
+    bool saw_backoff = false;
+    for (int step = 0; step < 200'000 && !saw_backoff; ++step) {
+        ASSERT_TRUE(stack.simulator().step());
+        for (const workload::Job *job : stack.jobs()) {
+            if (job->state() != JobState::kPending)
+                continue;
+            const auto eta = stack.estimated_start(job->id());
+            if (eta.is_ok())
+                continue;
+            ASSERT_EQ(eta.status().code(), StatusCode::kFailedPrecondition)
+                << eta.status().str();
+            EXPECT_EQ(eta.status().message(), "waiting out requeue backoff");
+            saw_backoff = true;
+        }
+    }
+    EXPECT_TRUE(saw_backoff);
 }
 
 TEST(TaccStack, MonitorLogsCoverSegments)
