@@ -23,6 +23,10 @@ class Duration
 
     /** @name Named constructors */
     ///@{
+    /** Largest whole-second count seconds() can hold without overflow. */
+    static constexpr int64_t kMaxSeconds =
+        std::numeric_limits<int64_t>::max() / 1'000'000;
+
     static constexpr Duration micros(int64_t v) { return Duration(v); }
     static constexpr Duration millis(int64_t v) { return Duration(v * 1000); }
     static constexpr Duration seconds(int64_t v)

@@ -1,5 +1,7 @@
 #include "core/config_io.h"
 
+#include <cfloat>
+#include <climits>
 #include <cmath>
 #include <sstream>
 
@@ -12,26 +14,20 @@ namespace tacc::core {
 
 namespace {
 
-Status
-bad(const std::string &key, const std::string &value)
+/** The tflops (> 0) and memory_gb (>= 0) fields of a GPU tuple. */
+bool
+parse_gpu(const std::string &model, std::string_view tflops,
+          std::string_view memory_gb, cluster::GpuSpec *gpu)
 {
-    return Status::invalid_argument("bad value for " + key + ": " + value);
-}
-
-StatusOr<bool>
-parse_bool(const std::string &key, const std::string &value)
-{
-    if (value == "true")
-        return true;
-    if (value == "false")
-        return false;
-    return bad(key, value);
+    gpu->model = model;
+    return parse_number(tflops, kAboveZero, DBL_MAX, &gpu->tflops) &&
+           parse_number(memory_gb, 0.0, DBL_MAX, &gpu->memory_gb);
 }
 
 /**
  * Applies one `key: value` line to the config. Returns a Status whose
- * message carries no position; the caller prefixes the line number, so
- * every diagnostic points at the offending preset line. Unknown keys
+ * message carries no position; the line loop prefixes the line number,
+ * so every diagnostic points at the offending preset line. Unknown keys
  * and out-of-range values are hard errors — a tune-emitted preset that
  * rots (renamed knob, bad bound) must fail loudly, never silently
  * fall back to defaults.
@@ -40,109 +36,78 @@ Status
 apply_stack_key(const std::string &key, const std::string &value,
                 StackConfig &config)
 {
-    auto to_double = [&](double &out) -> Status {
-        try {
-            size_t pos = 0;
-            out = std::stod(value, &pos);
-            // NaN would pass every range check below.
-            if (pos != value.size() || !std::isfinite(out))
-                throw std::invalid_argument(value);
-        } catch (const std::exception &) {
-            return bad(key, value);
+    if (key == "gpu" || key == "rack_override" || key == "quota" ||
+        key == "power_gpu_w") {
+        auto list = parse_list(key, value);
+        if (!list.is_ok())
+            return list.status();
+        const auto &parts = list.value();
+        // A failed line fails the whole parse, so fields may be written
+        // before the tuple is known to be good.
+        if (key == "gpu") {
+            if (parts.size() != 3 ||
+                !parse_gpu(parts[0], parts[1], parts[2],
+                           &config.cluster.node.gpu))
+                return bad_value(key, value);
+        } else if (key == "rack_override") {
+            // "rack,model,tflops,memory_gb,gpu_count"
+            int rack = 0;
+            cluster::NodeSpec spec = config.cluster.node;
+            if (parts.size() != 5 ||
+                !parse_number(parts[0], 0, INT_MAX, &rack) ||
+                !parse_gpu(parts[1], parts[2], parts[3], &spec.gpu) ||
+                !parse_number(parts[4], 1, INT_MAX, &spec.gpu_count))
+                return bad_value(key, value);
+            config.cluster.rack_node_overrides[rack] = spec;
+        } else if (key == "quota") {
+            // "group,cap"; a negative cap means unlimited.
+            int cap = 0;
+            if (parts.size() != 2 ||
+                !parse_number(parts[1], INT_MIN, INT_MAX, &cap))
+                return bad_value(key, value);
+            config.group_quotas[parts[0]] = cap;
+        } else {
+            // "idle,active" for the default GPU, or "model,idle,active".
+            const size_t n = parts.size();
+            if (n != 2 && n != 3)
+                return bad_value(key, value);
+            auto &spec = n == 2 ? config.power.default_gpu
+                                : config.power.gpu_power[parts[0]];
+            if (!parse_number(parts[n - 2], 0.0, DBL_MAX, &spec.idle_w) ||
+                !parse_number(parts[n - 1], 0.0, DBL_MAX, &spec.active_w))
+                return bad_value(key, value);
         }
         return Status::ok();
-    };
-    auto to_int = [&](int &out) -> Status {
-        try {
-            size_t pos = 0;
-            out = std::stoi(value, &pos);
-            if (pos != value.size())
-                throw std::invalid_argument(value);
-        } catch (const std::exception &) {
-            return bad(key, value);
-        }
-        return Status::ok();
-    };
-    auto to_nonneg_double = [&](double &out) -> Status {
-        if (auto s = to_double(out); !s.is_ok())
-            return s;
-        if (out < 0)
-            return bad(key, value);
-        return Status::ok();
-    };
+    }
 
+    auto &topo = config.cluster.topology;
+    auto &opts = config.sched_opts;
+    auto &failure = config.exec.failure;
+    auto &power = config.power;
+    auto &predict = config.predict;
     double dv = 0;
-    int iv = 0;
     if (key == "cluster") {
         if (value.empty())
-            return bad(key, value);
+            return bad_value(key, value);
         config.cluster.name = value;
     } else if (key == "racks") {
-        if (auto s = to_int(iv); !s.is_ok())
-            return s;
-        if (iv <= 0)
-            return bad(key, value);
-        config.cluster.topology.racks = iv;
+        return parse_number(key, value, 1, INT_MAX, &topo.racks);
     } else if (key == "nodes_per_rack") {
-        if (auto s = to_int(iv); !s.is_ok())
-            return s;
-        if (iv <= 0)
-            return bad(key, value);
-        config.cluster.topology.nodes_per_rack = iv;
+        return parse_number(key, value, 1, INT_MAX, &topo.nodes_per_rack);
     } else if (key == "gpus_per_node") {
-        if (auto s = to_int(iv); !s.is_ok())
-            return s;
-        if (iv <= 0)
-            return bad(key, value);
-        config.cluster.node.gpu_count = iv;
-    } else if (key == "gpu") {
-        const auto parts = split(value, ',');
-        if (parts.size() != 3)
-            return bad(key, value);
-        try {
-            config.cluster.node.gpu.model = std::string(trim(parts[0]));
-            config.cluster.node.gpu.tflops = std::stod(parts[1]);
-            config.cluster.node.gpu.memory_gb = std::stod(parts[2]);
-        } catch (const std::exception &) {
-            return bad(key, value);
-        }
-    } else if (key == "rack_override") {
-        const auto parts = split(value, ',');
-        if (parts.size() != 5)
-            return bad(key, value);
-        try {
-            const int rack = std::stoi(parts[0]);
-            cluster::NodeSpec spec = config.cluster.node;
-            spec.gpu.model = std::string(trim(parts[1]));
-            spec.gpu.tflops = std::stod(parts[2]);
-            spec.gpu.memory_gb = std::stod(parts[3]);
-            spec.gpu_count = std::stoi(parts[4]);
-            if (rack < 0 || spec.gpu_count <= 0)
-                return bad(key, value);
-            config.cluster.rack_node_overrides[rack] = spec;
-        } catch (const std::exception &) {
-            return bad(key, value);
-        }
+        return parse_number(key, value, 1, INT_MAX,
+                            &config.cluster.node.gpu_count);
     } else if (key == "oversubscription") {
-        if (auto s = to_double(dv); !s.is_ok())
+        return parse_number(key, value, 1.0, DBL_MAX,
+                            &topo.oversubscription);
+    } else if (key == "nic_gbps" || key == "nvlink_gbps") {
+        if (auto s = parse_number(key, value, kAboveZero, DBL_MAX, &dv);
+            !s.is_ok())
             return s;
-        if (dv < 1.0)
-            return bad(key, value);
-        config.cluster.topology.oversubscription = dv;
-    } else if (key == "nic_gbps") {
-        if (auto s = to_double(dv); !s.is_ok())
-            return s;
-        if (dv <= 0)
-            return bad(key, value);
-        config.cluster.topology.nic_gbps = dv;
-        config.cluster.node.nic_gbps = dv;
-    } else if (key == "nvlink_gbps") {
-        if (auto s = to_double(dv); !s.is_ok())
-            return s;
-        if (dv <= 0)
-            return bad(key, value);
-        config.cluster.topology.nvlink_gbps = dv;
-        config.cluster.node.nvlink_gbps = dv;
+        if (key == "nic_gbps")
+            topo.nic_gbps = config.cluster.node.nic_gbps = dv;
+        else
+            topo.nvlink_gbps = config.cluster.node.nvlink_gbps = dv;
     } else if (key == "scheduler") {
         if (!sched::make_scheduler(value))
             return Status::invalid_argument("unknown scheduler: " + value);
@@ -152,227 +117,107 @@ apply_stack_key(const std::string &key, const std::string &value,
             return Status::invalid_argument("unknown placement: " + value);
         config.placement = value;
     } else if (key == "w_age") {
-        if (auto s = to_nonneg_double(config.sched_opts.w_age); !s.is_ok())
-            return s;
+        return parse_number(key, value, 0.0, DBL_MAX, &opts.w_age);
     } else if (key == "w_fairshare") {
-        if (auto s = to_nonneg_double(config.sched_opts.w_fairshare);
-            !s.is_ok())
-            return s;
+        return parse_number(key, value, 0.0, DBL_MAX, &opts.w_fairshare);
     } else if (key == "w_qos") {
-        if (auto s = to_nonneg_double(config.sched_opts.w_qos); !s.is_ok())
-            return s;
+        return parse_number(key, value, 0.0, DBL_MAX, &opts.w_qos);
     } else if (key == "w_size") {
-        if (auto s = to_nonneg_double(config.sched_opts.w_size);
-            !s.is_ok())
-            return s;
+        return parse_number(key, value, 0.0, DBL_MAX, &opts.w_size);
     } else if (key == "backfill_depth") {
-        if (auto s = to_int(iv); !s.is_ok())
-            return s;
-        if (iv < 0)
-            return bad(key, value);
-        config.sched_opts.backfill_depth = iv;
+        return parse_number(key, value, 0, INT_MAX, &opts.backfill_depth);
     } else if (key == "gang_quantum_s") {
-        if (auto s = to_double(dv); !s.is_ok())
+        if (auto s = parse_number(key, value, kAboveZero,
+                                  double(Duration::kMaxSeconds), &dv);
+            !s.is_ok())
             return s;
-        if (dv <= 0)
-            return bad(key, value);
-        config.sched_opts.gang_quantum = Duration::from_seconds(dv);
+        opts.gang_quantum = Duration::from_seconds(dv);
     } else if (key == "las_threshold_gpu_s") {
-        if (auto s = to_double(dv); !s.is_ok())
-            return s;
-        if (dv <= 0)
-            return bad(key, value);
-        config.sched_opts.las_queue_threshold_gpu_s = dv;
+        return parse_number(key, value, kAboveZero, DBL_MAX,
+                            &opts.las_queue_threshold_gpu_s);
     } else if (key == "preempt_cost_gpu_s") {
-        if (auto s = to_nonneg_double(
-                config.sched_opts.preempt_cost_threshold_gpu_s);
-            !s.is_ok())
-            return s;
+        return parse_number(key, value, 0.0, DBL_MAX,
+                            &opts.preempt_cost_threshold_gpu_s);
     } else if (key == "usage_half_life_h") {
-        if (auto s = to_double(dv); !s.is_ok())
+        if (auto s = parse_number(key, value, kAboveZero,
+                                  Duration::kMaxSeconds / 3600.0, &dv);
+            !s.is_ok())
             return s;
-        if (dv <= 0)
-            return bad(key, value);
         config.usage_half_life = Duration::from_seconds(dv * 3600.0);
-    } else if (key == "quota") {
-        const auto parts = split(value, ',');
-        if (parts.size() != 2)
-            return bad(key, value);
-        try {
-            config.group_quotas[std::string(trim(parts[0]))] =
-                std::stoi(parts[1]);
-        } catch (const std::exception &) {
-            return bad(key, value);
-        }
     } else if (key == "default_quota") {
-        if (auto s = to_int(iv); !s.is_ok())
-            return s;
-        config.default_group_quota = iv;
+        return parse_number(key, value, INT_MIN, INT_MAX,
+                            &config.default_group_quota);
     } else if (key == "avoid_gpu_mixing") {
-        auto b = parse_bool(key, value);
-        if (!b.is_ok())
-            return b.status();
-        config.avoid_gpu_mixing = b.value();
+        return parse_bool(key, value, &config.avoid_gpu_mixing);
     } else if (key == "rdma") {
-        auto b = parse_bool(key, value);
-        if (!b.is_ok())
-            return b.status();
-        config.exec.rdma_available = b.value();
+        return parse_bool(key, value, &config.exec.rdma_available);
     } else if (key == "innetwork") {
-        auto b = parse_bool(key, value);
-        if (!b.is_ok())
-            return b.status();
-        config.exec.innetwork_available = b.value();
+        return parse_bool(key, value, &config.exec.innetwork_available);
     } else if (key == "failsafe") {
-        auto b = parse_bool(key, value);
-        if (!b.is_ok())
-            return b.status();
-        config.exec.failure.failsafe_switching = b.value();
+        return parse_bool(key, value, &failure.failsafe_switching);
     } else if (key == "spine_contention") {
-        auto b = parse_bool(key, value);
-        if (!b.is_ok())
-            return b.status();
-        config.exec.model_spine_contention = b.value();
+        return parse_bool(key, value, &config.exec.model_spine_contention);
     } else if (key == "mtbf_hours") {
-        if (auto s = to_nonneg_double(config.exec.failure.node_mtbf_hours);
-            !s.is_ok())
-            return s;
+        return parse_number(key, value, 0.0, DBL_MAX,
+                            &failure.node_mtbf_hours);
     } else if (key == "persistent_failure_prob") {
-        if (auto s = to_double(dv); !s.is_ok())
-            return s;
-        if (dv < 0 || dv > 1)
-            return bad(key, value);
-        config.exec.failure.persistent_prob = dv;
+        return parse_number(key, value, 0.0, 1.0, &failure.persistent_prob);
     } else if (key == "checkpoint_interval_s") {
-        if (auto s =
-                to_nonneg_double(config.exec.checkpoint_interval_s);
-            !s.is_ok())
-            return s;
+        return parse_number(key, value, 0.0, DBL_MAX,
+                            &config.exec.checkpoint_interval_s);
     } else if (key == "checkpoint_cost_s") {
-        if (auto s = to_nonneg_double(config.exec.checkpoint_cost_s);
-            !s.is_ok())
-            return s;
+        return parse_number(key, value, 0.0, DBL_MAX,
+                            &config.exec.checkpoint_cost_s);
     } else if (key == "restart_overhead_s") {
-        if (auto s = to_nonneg_double(config.exec.restart_overhead_s);
-            !s.is_ok())
-            return s;
+        return parse_number(key, value, 0.0, DBL_MAX,
+                            &config.exec.restart_overhead_s);
     } else if (key == "power") {
-        auto b = parse_bool(key, value);
-        if (!b.is_ok())
-            return b.status();
-        config.power.enabled = b.value();
+        return parse_bool(key, value, &power.enabled);
     } else if (key == "power_policy") {
         if (value != "admission" && value != "dvfs")
-            return bad(key, value);
-        config.power.policy = value;
+            return bad_value(key, value);
+        power.policy = value;
     } else if (key == "power_cluster_cap_w") {
-        if (auto s = to_nonneg_double(config.power.cluster_cap_w);
-            !s.is_ok())
-            return s;
+        return parse_number(key, value, 0.0, DBL_MAX, &power.cluster_cap_w);
     } else if (key == "power_rack_cap_w") {
-        if (auto s = to_nonneg_double(config.power.rack_cap_w); !s.is_ok())
-            return s;
+        return parse_number(key, value, 0.0, DBL_MAX, &power.rack_cap_w);
     } else if (key == "power_pdu_cap_w") {
-        if (auto s = to_nonneg_double(config.power.pdu_cap_w); !s.is_ok())
-            return s;
+        return parse_number(key, value, 0.0, DBL_MAX, &power.pdu_cap_w);
     } else if (key == "power_racks_per_pdu") {
-        if (auto s = to_int(iv); !s.is_ok())
-            return s;
-        if (iv <= 0)
-            return bad(key, value);
-        config.power.racks_per_pdu = iv;
+        return parse_number(key, value, 1, INT_MAX, &power.racks_per_pdu);
     } else if (key == "power_host_idle_w") {
-        if (auto s = to_nonneg_double(config.power.host_idle_w);
-            !s.is_ok())
-            return s;
-    } else if (key == "power_gpu_w") {
-        // "idle,active" for the default GPU, or "model,idle,active".
-        const auto parts = split(value, ',');
-        try {
-            if (parts.size() == 2) {
-                config.power.default_gpu.idle_w = std::stod(parts[0]);
-                config.power.default_gpu.active_w = std::stod(parts[1]);
-            } else if (parts.size() == 3) {
-                power::GpuPowerSpec spec;
-                spec.idle_w = std::stod(parts[1]);
-                spec.active_w = std::stod(parts[2]);
-                config.power.gpu_power[std::string(trim(parts[0]))] = spec;
-            } else {
-                return bad(key, value);
-            }
-        } catch (const std::exception &) {
-            return bad(key, value);
-        }
+        return parse_number(key, value, 0.0, DBL_MAX, &power.host_idle_w);
     } else if (key == "power_dvfs_exponent") {
-        if (auto s = to_double(dv); !s.is_ok())
-            return s;
-        if (dv <= 0)
-            return bad(key, value);
-        config.power.dvfs_exponent = dv;
+        return parse_number(key, value, kAboveZero, DBL_MAX,
+                            &power.dvfs_exponent);
     } else if (key == "power_min_clock") {
-        if (auto s = to_double(dv); !s.is_ok())
-            return s;
-        if (dv <= 0 || dv > 1)
-            return bad(key, value);
-        config.power.min_clock = dv;
+        return parse_number(key, value, kAboveZero, 1.0, &power.min_clock);
     } else if (key == "predict") {
-        auto b = parse_bool(key, value);
-        if (!b.is_ok())
-            return b.status();
-        config.predict.enabled = b.value();
+        return parse_bool(key, value, &predict.enabled);
     } else if (key == "predict_mode") {
         auto mode = predict::parse_estimator_mode(value);
         if (!mode.is_ok())
             return mode.status();
-        config.predict.mode = mode.value();
+        predict.mode = mode.value();
     } else if (key == "predict_decay") {
-        if (auto s = to_double(dv); !s.is_ok())
-            return s;
-        if (dv < 0 || dv >= 1)
-            return bad(key, value);
-        config.predict.decay = dv;
+        // [0, 1): the largest double below 1 is the upper bound.
+        return parse_number(key, value, 0.0, std::nextafter(1.0, 0.0),
+                            &predict.decay);
     } else if (key == "predict_sample_floor") {
-        if (auto s = to_int(iv); !s.is_ok())
-            return s;
-        if (iv < 1)
-            return bad(key, value);
-        config.predict.sample_floor = iv;
+        return parse_number(key, value, 1, INT_MAX, &predict.sample_floor);
     } else if (key == "predict_safety_min") {
-        if (auto s = to_double(dv); !s.is_ok())
-            return s;
-        if (dv < 1)
-            return bad(key, value);
-        config.predict.safety_min = dv;
+        return parse_number(key, value, 1.0, DBL_MAX, &predict.safety_min);
     } else if (key == "predict_safety_max") {
-        if (auto s = to_double(dv); !s.is_ok())
-            return s;
-        if (dv < 1)
-            return bad(key, value);
-        config.predict.safety_max = dv;
+        return parse_number(key, value, 1.0, DBL_MAX, &predict.safety_max);
     } else if (key == "predict_bias") {
-        if (auto s = to_double(dv); !s.is_ok())
-            return s;
-        if (dv <= 0)
-            return bad(key, value);
-        config.predict.bias = dv;
+        return parse_number(key, value, kAboveZero, DBL_MAX, &predict.bias);
     } else if (key == "predict_forecast_alpha") {
-        if (auto s = to_double(dv); !s.is_ok())
-            return s;
-        if (dv <= 0 || dv > 1)
-            return bad(key, value);
-        config.predict.forecast_alpha = dv;
+        return parse_number(key, value, kAboveZero, 1.0,
+                            &predict.forecast_alpha);
     } else if (key == "predict_forecast_beta") {
-        if (auto s = to_double(dv); !s.is_ok())
-            return s;
-        if (dv < 0 || dv > 1)
-            return bad(key, value);
-        config.predict.forecast_beta = dv;
+        return parse_number(key, value, 0.0, 1.0, &predict.forecast_beta);
     } else if (key == "seed") {
-        if (auto s = to_int(iv); !s.is_ok())
-            return s;
-        if (iv < 0)
-            return bad(key, value);
-        config.seed = uint64_t(iv);
+        return parse_number(key, value, 0, UINT64_MAX, &config.seed);
     } else {
         return Status::invalid_argument("unknown key: " + key);
     }
@@ -385,25 +230,14 @@ StatusOr<StackConfig>
 parse_stack_config(const std::string &text)
 {
     StackConfig config;
-
-    int lineno = 0;
-    for (const auto &raw_line : split(text, '\n')) {
-        ++lineno;
-        const std::string line{trim(raw_line)};
-        if (line.empty() || line[0] == '#')
-            continue;
-        const size_t colon = line.find(':');
-        if (colon == std::string::npos) {
-            return Status::invalid_argument(
-                strfmt("line %d: malformed line: ", lineno) + line);
-        }
-        const std::string key{trim(line.substr(0, colon))};
-        const std::string value{trim(line.substr(colon + 1))};
-        if (auto s = apply_stack_key(key, value, config); !s.is_ok()) {
-            return Status::invalid_argument(strfmt("line %d: ", lineno) +
-                                            s.message());
-        }
-    }
+    if (auto s = for_each_kv_line(text,
+                                  [&](const std::string &key,
+                                      const std::string &value) {
+                                      return apply_stack_key(key, value,
+                                                             config);
+                                  });
+        !s.is_ok())
+        return s;
     return config;
 }
 

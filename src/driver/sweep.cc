@@ -1,8 +1,7 @@
 #include "driver/sweep.h"
 
-#include <cmath>
-#include <fstream>
-#include <sstream>
+#include <cfloat>
+#include <cstdint>
 
 #include "common/strings.h"
 #include "core/config_io.h"
@@ -13,58 +12,6 @@
 namespace tacc::driver {
 
 namespace {
-
-Status
-bad(const std::string &key, const std::string &value)
-{
-    return Status::invalid_argument("bad value for " + key + ": " + value);
-}
-
-StatusOr<double>
-parse_double(const std::string &key, const std::string &value)
-{
-    try {
-        size_t pos = 0;
-        const double v = std::stod(value, &pos);
-        // NaN would pass every range check (all its comparisons are
-        // false), so non-finite values are rejected here.
-        if (pos != value.size() || !std::isfinite(v))
-            return bad(key, value);
-        return v;
-    } catch (const std::exception &) {
-        return bad(key, value);
-    }
-}
-
-StatusOr<uint64_t>
-parse_u64(const std::string &key, const std::string &value)
-{
-    try {
-        size_t pos = 0;
-        const unsigned long long v = std::stoull(value, &pos);
-        if (pos != value.size())
-            return bad(key, value);
-        return uint64_t(v);
-    } catch (const std::exception &) {
-        return bad(key, value);
-    }
-}
-
-/** Comma-separated list; empty entries rejected. */
-StatusOr<std::vector<std::string>>
-parse_list(const std::string &key, const std::string &value)
-{
-    std::vector<std::string> out;
-    for (const auto &part : split(value, ',')) {
-        const std::string item{trim(part)};
-        if (item.empty())
-            return bad(key, value);
-        out.push_back(item);
-    }
-    if (out.empty())
-        return bad(key, value);
-    return out;
-}
 
 /** Compact load rendering: x1, x1.4, x0.75 (no trailing zeros). */
 std::string
@@ -327,314 +274,204 @@ expand_sweep(const SweepSpec &spec)
     return out;
 }
 
+Status
+apply_scenario_key(const std::string &key, const std::string &value,
+                   core::ScenarioConfig *config)
+{
+    constexpr int kMaxCount = 1'000'000'000;
+    auto &trace = config->trace;
+    auto &cluster = config->stack.cluster;
+    if (key == "jobs")
+        return parse_number(key, value, 1, kMaxCount, &trace.num_jobs);
+    if (key == "interarrival_s") {
+        return parse_number(key, value, kAboveZero, DBL_MAX,
+                            &trace.mean_interarrival_s);
+    }
+    if (key == "diurnal")
+        return parse_bool(key, value, &trace.diurnal);
+    if (key == "frac_interactive")
+        return parse_number(key, value, 0.0, 1.0, &trace.frac_interactive);
+    if (key == "frac_best_effort")
+        return parse_number(key, value, 0.0, 1.0, &trace.frac_best_effort);
+    if (key == "frac_deadline")
+        return parse_number(key, value, 0.0, 1.0, &trace.frac_deadline);
+    if (key == "frac_elastic")
+        return parse_number(key, value, 0.0, 1.0, &trace.frac_elastic);
+    if (key == "racks") {
+        return parse_number(key, value, 1, kMaxCount,
+                            &cluster.topology.racks);
+    }
+    if (key == "nodes_per_rack") {
+        return parse_number(key, value, 1, kMaxCount,
+                            &cluster.topology.nodes_per_rack);
+    }
+    if (key == "gpus_per_node") {
+        return parse_number(key, value, 1, kMaxCount,
+                            &cluster.node.gpu_count);
+    }
+    if (key == "oversubscription") {
+        return parse_number(key, value, 1.0, DBL_MAX,
+                            &cluster.topology.oversubscription);
+    }
+    if (key == "max_events")
+        return parse_number(key, value, 1, UINT64_MAX, &config->max_events);
+    if (key == "streaming")
+        return parse_bool(key, value, &config->streaming);
+    if (key == "stream_window") {
+        uint64_t window = 0;
+        if (auto s = parse_number(key, value, 1, UINT64_MAX, &window);
+            !s.is_ok())
+            return s;
+        config->stream_window = size_t(window);
+        return Status::ok();
+    }
+    return Status::invalid_argument("unknown key: " + key);
+}
+
+namespace {
+
+/** Applies one line of the sweep dialect to `spec`. */
+Status
+apply_sweep_key(const std::string &key, const std::string &value,
+                const std::string &spec_dir, SweepSpec &spec)
+{
+    // The string axes: every entry is checked by applying it once.
+    using Check = Status (*)(const std::string &);
+    auto axis = [&](std::vector<std::string> &out, Check check) -> Status {
+        auto list = parse_list(key, value);
+        if (!list.is_ok())
+            return list.status();
+        for (const auto &item : list.value()) {
+            if (auto s = check(item); !s.is_ok())
+                return s;
+        }
+        out = std::move(list).value();
+        return Status::ok();
+    };
+
+    if (key == "preset") {
+        // A deployment-dialect file (e.g. a tacc_tune winner) becomes
+        // the base stack; keys after this line and the axes still
+        // override it.
+        std::string path = value;
+        if (!spec_dir.empty() && !path.empty() && path[0] != '/')
+            path = spec_dir + "/" + path;
+        auto text = read_text_file(path);
+        if (!text.is_ok())
+            return text.status();
+        auto stack = core::parse_stack_config(text.value());
+        if (!stack.is_ok()) {
+            return Status::invalid_argument(
+                "preset " + path + ": " + stack.status().message());
+        }
+        spec.base.stack = std::move(stack).value();
+        spec.base.stack.emit_monitor_logs = false;
+        return Status::ok();
+    }
+    if (key == "schedulers") {
+        return axis(spec.schedulers, [](const std::string &name) {
+            return sched::make_scheduler(name, {})
+                       ? Status::ok()
+                       : Status::invalid_argument("unknown scheduler: " +
+                                                  name);
+        });
+    }
+    if (key == "placements") {
+        return axis(spec.placements, [](const std::string &name) {
+            return sched::make_placement_policy(name)
+                       ? Status::ok()
+                       : Status::invalid_argument("unknown placement: " +
+                                                  name);
+        });
+    }
+    if (key == "preempt_modes") {
+        return axis(spec.preempt_modes, [](const std::string &mode) {
+            core::StackConfig scratch;
+            return apply_preempt_mode(mode, &scratch);
+        });
+    }
+    if (key == "fault_modes") {
+        return axis(spec.fault_modes, [](const std::string &mode) {
+            core::StackConfig scratch;
+            return apply_fault_mode(mode, &scratch);
+        });
+    }
+    if (key == "power_policies") {
+        return axis(spec.power_policies, [](const std::string &policy) {
+            core::StackConfig scratch;
+            return apply_power_mode(1.0, policy, &scratch);
+        });
+    }
+    if (key == "estimator_modes") {
+        return axis(spec.estimator_modes, [](const std::string &mode) {
+            core::StackConfig scratch;
+            return apply_estimator_mode(mode, 1.0, &scratch);
+        });
+    }
+    if (key == "serve_modes") {
+        return axis(spec.serve_modes, [](const std::string &mode) {
+            core::StackConfig scratch;
+            return apply_serve_mode(mode, 1.0, &scratch);
+        });
+    }
+    if (key == "power_caps")
+        return parse_number_list(key, value, 0.0, 1e9, &spec.power_caps);
+    if (key == "mispredict_bias") {
+        return parse_number_list(key, value, kAboveZero, 100.0,
+                                 &spec.mispredict_bias);
+    }
+    if (key == "bursts")
+        return parse_number_list(key, value, 1.0, 100.0, &spec.bursts);
+    if (key == "loads") {
+        return parse_number_list(key, value, kAboveZero, 100.0,
+                                 &spec.loads);
+    }
+    if (key == "seeds")
+        return parse_number_list(key, value, 0, UINT64_MAX, &spec.seeds);
+    if (key == "serve_rate_hz") {
+        return parse_number(key, value, kAboveZero, 1e6,
+                            &spec.base.stack.serve.request_rate_hz);
+    }
+    if (key == "serve_horizon_s") {
+        return parse_number(key, value, kAboveZero, DBL_MAX,
+                            &spec.base.stack.serve.horizon_s);
+    }
+    if (key == "node_mtbf_hours") {
+        return parse_number(key, value, 0.0, DBL_MAX,
+                            &spec.base.stack.exec.failure.node_mtbf_hours);
+    }
+    return apply_scenario_key(key, value, &spec.base);
+}
+
+} // namespace
+
 StatusOr<SweepSpec>
 parse_sweep_spec(const std::string &text, const std::string &spec_dir)
 {
     SweepSpec spec;
     // Sweeps never want per-node monitor log lines.
     spec.base.stack.emit_monitor_logs = false;
-
-    for (const auto &raw_line : split(text, '\n')) {
-        const std::string line{trim(raw_line)};
-        if (line.empty() || line[0] == '#')
-            continue;
-        const size_t colon = line.find(':');
-        if (colon == std::string::npos)
-            return Status::invalid_argument("malformed line: " + line);
-        const std::string key{trim(line.substr(0, colon))};
-        const std::string value{trim(line.substr(colon + 1))};
-
-        auto to_pos_int = [&](int &out) -> Status {
-            auto v = parse_u64(key, value);
-            if (!v.is_ok())
-                return v.status();
-            if (v.value() == 0 || v.value() > 1'000'000'000)
-                return bad(key, value);
-            out = int(v.value());
-            return Status::ok();
-        };
-        auto to_frac = [&](double &out) -> Status {
-            auto v = parse_double(key, value);
-            if (!v.is_ok())
-                return v.status();
-            if (v.value() < 0.0 || v.value() > 1.0)
-                return bad(key, value);
-            out = v.value();
-            return Status::ok();
-        };
-
-        if (key == "preset") {
-            // A deployment-dialect file (e.g. a tacc_tune winner)
-            // becomes the base stack; keys after this line and the
-            // axes still override it.
-            std::string path = value;
-            if (!spec_dir.empty() && !path.empty() && path[0] != '/')
-                path = spec_dir + "/" + path;
-            std::ifstream preset(path);
-            if (!preset) {
-                return Status::not_found("cannot read preset: " + path);
-            }
-            std::ostringstream preset_text;
-            preset_text << preset.rdbuf();
-            auto stack = core::parse_stack_config(preset_text.str());
-            if (!stack.is_ok()) {
-                return Status::invalid_argument(
-                    "preset " + path + ": " + stack.status().message());
-            }
-            spec.base.stack = std::move(stack).value();
-            spec.base.stack.emit_monitor_logs = false;
-        } else if (key == "schedulers") {
-            auto list = parse_list(key, value);
-            if (!list.is_ok())
-                return list.status();
-            for (const auto &name : list.value()) {
-                if (!sched::make_scheduler(name, {}))
-                    return Status::invalid_argument(
-                        "unknown scheduler: " + name);
-            }
-            spec.schedulers = std::move(list).value();
-        } else if (key == "placements") {
-            auto list = parse_list(key, value);
-            if (!list.is_ok())
-                return list.status();
-            for (const auto &name : list.value()) {
-                if (!sched::make_placement_policy(name))
-                    return Status::invalid_argument(
-                        "unknown placement: " + name);
-            }
-            spec.placements = std::move(list).value();
-        } else if (key == "preempt_modes") {
-            auto list = parse_list(key, value);
-            if (!list.is_ok())
-                return list.status();
-            core::StackConfig scratch;
-            for (const auto &mode : list.value()) {
-                if (auto s = apply_preempt_mode(mode, &scratch);
-                    !s.is_ok())
-                    return s;
-            }
-            spec.preempt_modes = std::move(list).value();
-        } else if (key == "fault_modes") {
-            auto list = parse_list(key, value);
-            if (!list.is_ok())
-                return list.status();
-            core::StackConfig scratch;
-            for (const auto &mode : list.value()) {
-                if (auto s = apply_fault_mode(mode, &scratch); !s.is_ok())
-                    return s;
-            }
-            spec.fault_modes = std::move(list).value();
-        } else if (key == "power_caps") {
-            auto list = parse_list(key, value);
-            if (!list.is_ok())
-                return list.status();
-            spec.power_caps.clear();
-            for (const auto &item : list.value()) {
-                auto v = parse_double(key, item);
-                if (!v.is_ok())
-                    return v.status();
-                if (v.value() < 0.0 || v.value() > 1e9)
-                    return bad(key, item);
-                spec.power_caps.push_back(v.value());
-            }
-        } else if (key == "power_policies") {
-            auto list = parse_list(key, value);
-            if (!list.is_ok())
-                return list.status();
-            for (const auto &policy : list.value()) {
-                core::StackConfig scratch;
-                if (auto s = apply_power_mode(1.0, policy, &scratch);
-                    !s.is_ok())
-                    return s;
-            }
-            spec.power_policies = std::move(list).value();
-        } else if (key == "estimator_modes") {
-            auto list = parse_list(key, value);
-            if (!list.is_ok())
-                return list.status();
-            core::StackConfig scratch;
-            for (const auto &mode : list.value()) {
-                if (auto s = apply_estimator_mode(mode, 1.0, &scratch);
-                    !s.is_ok())
-                    return s;
-            }
-            spec.estimator_modes = std::move(list).value();
-        } else if (key == "mispredict_bias") {
-            auto list = parse_list(key, value);
-            if (!list.is_ok())
-                return list.status();
-            spec.mispredict_bias.clear();
-            for (const auto &item : list.value()) {
-                auto v = parse_double(key, item);
-                if (!v.is_ok())
-                    return v.status();
-                if (v.value() <= 0.0 || v.value() > 100.0)
-                    return bad(key, item);
-                spec.mispredict_bias.push_back(v.value());
-            }
-        } else if (key == "serve_modes") {
-            auto list = parse_list(key, value);
-            if (!list.is_ok())
-                return list.status();
-            core::StackConfig scratch;
-            for (const auto &mode : list.value()) {
-                if (auto s = apply_serve_mode(mode, 1.0, &scratch);
-                    !s.is_ok())
-                    return s;
-            }
-            spec.serve_modes = std::move(list).value();
-        } else if (key == "bursts") {
-            auto list = parse_list(key, value);
-            if (!list.is_ok())
-                return list.status();
-            spec.bursts.clear();
-            for (const auto &item : list.value()) {
-                auto v = parse_double(key, item);
-                if (!v.is_ok())
-                    return v.status();
-                if (v.value() < 1.0 || v.value() > 100.0)
-                    return bad(key, item);
-                spec.bursts.push_back(v.value());
-            }
-        } else if (key == "serve_rate_hz") {
-            auto v = parse_double(key, value);
-            if (!v.is_ok())
-                return v.status();
-            if (v.value() <= 0.0 || v.value() > 1e6)
-                return bad(key, value);
-            spec.base.stack.serve.request_rate_hz = v.value();
-        } else if (key == "serve_horizon_s") {
-            auto v = parse_double(key, value);
-            if (!v.is_ok())
-                return v.status();
-            if (v.value() <= 0.0)
-                return bad(key, value);
-            spec.base.stack.serve.horizon_s = v.value();
-        } else if (key == "loads") {
-            auto list = parse_list(key, value);
-            if (!list.is_ok())
-                return list.status();
-            spec.loads.clear();
-            for (const auto &item : list.value()) {
-                auto v = parse_double(key, item);
-                if (!v.is_ok())
-                    return v.status();
-                if (v.value() <= 0.0 || v.value() > 100.0)
-                    return bad(key, item);
-                spec.loads.push_back(v.value());
-            }
-        } else if (key == "seeds") {
-            auto list = parse_list(key, value);
-            if (!list.is_ok())
-                return list.status();
-            spec.seeds.clear();
-            for (const auto &item : list.value()) {
-                auto v = parse_u64(key, item);
-                if (!v.is_ok())
-                    return v.status();
-                spec.seeds.push_back(v.value());
-            }
-        } else if (key == "jobs") {
-            if (auto s = to_pos_int(spec.base.trace.num_jobs); !s.is_ok())
-                return s;
-        } else if (key == "interarrival_s") {
-            auto v = parse_double(key, value);
-            if (!v.is_ok())
-                return v.status();
-            if (v.value() <= 0.0)
-                return bad(key, value);
-            spec.base.trace.mean_interarrival_s = v.value();
-        } else if (key == "diurnal") {
-            if (value == "true")
-                spec.base.trace.diurnal = true;
-            else if (value == "false")
-                spec.base.trace.diurnal = false;
-            else
-                return bad(key, value);
-        } else if (key == "frac_interactive") {
-            if (auto s = to_frac(spec.base.trace.frac_interactive);
-                !s.is_ok())
-                return s;
-        } else if (key == "frac_best_effort") {
-            if (auto s = to_frac(spec.base.trace.frac_best_effort);
-                !s.is_ok())
-                return s;
-        } else if (key == "frac_deadline") {
-            if (auto s = to_frac(spec.base.trace.frac_deadline);
-                !s.is_ok())
-                return s;
-        } else if (key == "frac_elastic") {
-            if (auto s = to_frac(spec.base.trace.frac_elastic); !s.is_ok())
-                return s;
-        } else if (key == "racks") {
-            if (auto s =
-                    to_pos_int(spec.base.stack.cluster.topology.racks);
-                !s.is_ok())
-                return s;
-        } else if (key == "nodes_per_rack") {
-            if (auto s = to_pos_int(
-                    spec.base.stack.cluster.topology.nodes_per_rack);
-                !s.is_ok())
-                return s;
-        } else if (key == "gpus_per_node") {
-            if (auto s =
-                    to_pos_int(spec.base.stack.cluster.node.gpu_count);
-                !s.is_ok())
-                return s;
-        } else if (key == "oversubscription") {
-            auto v = parse_double(key, value);
-            if (!v.is_ok())
-                return v.status();
-            if (v.value() < 1.0)
-                return bad(key, value);
-            spec.base.stack.cluster.topology.oversubscription = v.value();
-        } else if (key == "node_mtbf_hours") {
-            auto v = parse_double(key, value);
-            if (!v.is_ok())
-                return v.status();
-            if (v.value() < 0.0)
-                return bad(key, value);
-            spec.base.stack.exec.failure.node_mtbf_hours = v.value();
-        } else if (key == "max_events") {
-            auto v = parse_u64(key, value);
-            if (!v.is_ok())
-                return v.status();
-            if (v.value() == 0)
-                return bad(key, value);
-            spec.base.max_events = v.value();
-        } else if (key == "streaming") {
-            if (value == "true")
-                spec.base.streaming = true;
-            else if (value == "false")
-                spec.base.streaming = false;
-            else
-                return bad(key, value);
-        } else if (key == "stream_window") {
-            auto v = parse_u64(key, value);
-            if (!v.is_ok())
-                return v.status();
-            if (v.value() == 0)
-                return bad(key, value);
-            spec.base.stream_window = size_t(v.value());
-        } else {
-            return Status::invalid_argument("unknown key: " + key);
-        }
-    }
+    if (auto s = for_each_kv_line(text,
+                                  [&](const std::string &key,
+                                      const std::string &value) {
+                                      return apply_sweep_key(key, value,
+                                                             spec_dir, spec);
+                                  });
+        !s.is_ok())
+        return s;
     return spec;
 }
 
 StatusOr<SweepSpec>
 load_sweep_spec(const std::string &path)
 {
-    std::ifstream in(path);
-    if (!in)
-        return Status::not_found("cannot read sweep spec: " + path);
-    std::ostringstream text;
-    text << in.rdbuf();
+    auto text = read_text_file(path);
+    if (!text.is_ok())
+        return text.status();
     const size_t slash = path.rfind('/');
-    return parse_sweep_spec(text.str(), slash == std::string::npos
-                                            ? ""
-                                            : path.substr(0, slash));
+    return parse_sweep_spec(text.value(), slash == std::string::npos
+                                              ? ""
+                                              : path.substr(0, slash));
 }
 
 } // namespace tacc::driver

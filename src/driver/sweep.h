@@ -243,6 +243,16 @@ Status apply_power_mode(double cap_w, const std::string &policy,
 Status apply_estimator_mode(const std::string &mode, double bias,
                             core::StackConfig *stack);
 
+/**
+ * Applies one of the scenario keys the sweep and tune dialects share:
+ * jobs, interarrival_s, diurnal, frac_interactive, frac_best_effort,
+ * frac_deadline, frac_elastic, racks, nodes_per_rack, gpus_per_node,
+ * oversubscription, max_events, streaming and stream_window. Any other
+ * key is "unknown key: <key>".
+ */
+Status apply_scenario_key(const std::string &key, const std::string &value,
+                          core::ScenarioConfig *config);
+
 /** Expands the grid into runnable scenarios in canonical order. */
 std::vector<SweepScenario> expand_sweep(const SweepSpec &spec);
 

@@ -1,8 +1,8 @@
 #include "tune/tuner.h"
 
+#include <cfloat>
 #include <chrono>
-#include <cmath>
-#include <fstream>
+#include <cstdint>
 #include <map>
 #include <sstream>
 
@@ -19,115 +19,23 @@ namespace tacc::tune {
 
 namespace {
 
-Status
-bad(const std::string &key, const std::string &value)
-{
-    return Status::invalid_argument("bad value for " + key + ": " + value);
-}
-
-StatusOr<double>
-parse_double(const std::string &key, const std::string &value)
-{
-    try {
-        size_t pos = 0;
-        const double v = std::stod(value, &pos);
-        // NaN would pass every range check (all its comparisons are
-        // false), so non-finite values are rejected here.
-        if (pos != value.size() || !std::isfinite(v))
-            return bad(key, value);
-        return v;
-    } catch (const std::exception &) {
-        return bad(key, value);
-    }
-}
-
-StatusOr<uint64_t>
-parse_u64(const std::string &key, const std::string &value)
-{
-    try {
-        size_t pos = 0;
-        const unsigned long long v = std::stoull(value, &pos);
-        if (pos != value.size())
-            return bad(key, value);
-        return uint64_t(v);
-    } catch (const std::exception &) {
-        return bad(key, value);
-    }
-}
-
-StatusOr<std::vector<std::string>>
-parse_list(const std::string &key, const std::string &value)
-{
-    std::vector<std::string> out;
-    for (const auto &part : split(value, ',')) {
-        const std::string item{trim(part)};
-        if (item.empty())
-            return bad(key, value);
-        out.push_back(item);
-    }
-    if (out.empty())
-        return bad(key, value);
-    return out;
-}
-
 /** One key of the tune dialect (no line context; the loop adds it). */
 Status
 apply_tune_key(const std::string &key, const std::string &value,
                TuneSpec &spec, double &power_cap_w,
                std::string &power_policy)
 {
-    auto to_pos_int = [&](int &out) -> Status {
-        auto v = parse_u64(key, value);
-        if (!v.is_ok())
-            return v.status();
-        if (v.value() == 0 || v.value() > 1'000'000'000)
-            return bad(key, value);
-        out = int(v.value());
-        return Status::ok();
-    };
-    auto to_frac = [&](double &out) -> Status {
-        auto v = parse_double(key, value);
-        if (!v.is_ok())
-            return v.status();
-        if (v.value() < 0.0 || v.value() > 1.0)
-            return bad(key, value);
-        out = v.value();
-        return Status::ok();
-    };
-    auto to_nonneg = [&](double &out) -> Status {
-        auto v = parse_double(key, value);
-        if (!v.is_ok())
-            return v.status();
-        if (v.value() < 0.0)
-            return bad(key, value);
-        out = v.value();
-        return Status::ok();
-    };
-    auto to_pos = [&](double &out) -> Status {
-        auto v = parse_double(key, value);
-        if (!v.is_ok())
-            return v.status();
-        if (v.value() <= 0.0)
-            return bad(key, value);
-        out = v.value();
-        return Status::ok();
-    };
-
+    auto &search = spec.search;
+    auto &weights = spec.weights;
     if (key == "optimizer") {
         if (value != "sa" && value != "genetic")
             return Status::invalid_argument("unknown optimizer: " + value +
                                             " (want sa or genetic)");
         spec.optimizer = value;
     } else if (key == "budget") {
-        if (auto s = to_pos_int(spec.budget); !s.is_ok())
-            return s;
-        if (spec.budget > 100'000)
-            return bad(key, value);
+        return parse_number(key, value, 1, 100'000, &spec.budget);
     } else if (key == "seed") {
-        auto v = parse_u64(key, value);
-        if (!v.is_ok())
-            return v.status();
-        spec.search.seed = v.value();
+        return parse_number(key, value, 0, UINT64_MAX, &search.seed);
     } else if (key == "params") {
         auto list = parse_list(key, value);
         if (!list.is_ok())
@@ -137,64 +45,39 @@ apply_tune_key(const std::string &key, const std::string &value,
             return space.status();
         spec.space = std::move(space).value();
     } else if (key == "sa_chains") {
-        if (auto s = to_pos_int(spec.search.chains); !s.is_ok())
-            return s;
-        if (spec.search.chains > 64)
-            return bad(key, value);
+        return parse_number(key, value, 1, 64, &search.chains);
     } else if (key == "sa_init_temp") {
-        if (auto s = to_pos(spec.search.init_temp); !s.is_ok())
-            return s;
+        return parse_number(key, value, kAboveZero, DBL_MAX,
+                            &search.init_temp);
     } else if (key == "sa_cooling") {
-        auto v = parse_double(key, value);
-        if (!v.is_ok())
-            return v.status();
-        if (v.value() <= 0.0 || v.value() > 1.0)
-            return bad(key, value);
-        spec.search.cooling = v.value();
+        return parse_number(key, value, kAboveZero, 1.0, &search.cooling);
     } else if (key == "sa_step") {
-        if (auto s = to_pos(spec.search.step_frac); !s.is_ok())
-            return s;
-        if (spec.search.step_frac > 1.0)
-            return bad(key, value);
+        return parse_number(key, value, kAboveZero, 1.0, &search.step_frac);
     } else if (key == "ga_population") {
-        if (auto s = to_pos_int(spec.search.population); !s.is_ok())
-            return s;
-        if (spec.search.population < 2 || spec.search.population > 256)
-            return bad(key, value);
+        return parse_number(key, value, 2, 256, &search.population);
     } else if (key == "ga_elites") {
-        auto v = parse_u64(key, value);
-        if (!v.is_ok())
-            return v.status();
-        if (v.value() > 64)
-            return bad(key, value);
-        spec.search.elites = int(v.value());
+        return parse_number(key, value, 0, 64, &search.elites);
     } else if (key == "ga_tournament") {
-        if (auto s = to_pos_int(spec.search.tournament); !s.is_ok())
-            return s;
+        return parse_number(key, value, 1, 1'000'000'000,
+                            &search.tournament);
     } else if (key == "ga_mutation") {
-        if (auto s = to_frac(spec.search.mutation); !s.is_ok())
-            return s;
+        return parse_number(key, value, 0.0, 1.0, &search.mutation);
     } else if (key == "w_mean_jct") {
-        if (auto s = to_nonneg(spec.weights.w_mean_jct); !s.is_ok())
-            return s;
+        return parse_number(key, value, 0.0, DBL_MAX, &weights.w_mean_jct);
     } else if (key == "w_p99_jct") {
-        if (auto s = to_nonneg(spec.weights.w_p99_jct); !s.is_ok())
-            return s;
+        return parse_number(key, value, 0.0, DBL_MAX, &weights.w_p99_jct);
     } else if (key == "w_fairness") {
-        if (auto s = to_nonneg(spec.weights.w_fairness); !s.is_ok())
-            return s;
+        return parse_number(key, value, 0.0, DBL_MAX, &weights.w_fairness);
     } else if (key == "w_energy") {
-        if (auto s = to_nonneg(spec.weights.w_energy); !s.is_ok())
-            return s;
+        return parse_number(key, value, 0.0, DBL_MAX, &weights.w_energy);
     } else if (key == "w_slo") {
-        if (auto s = to_nonneg(spec.weights.w_slo); !s.is_ok())
-            return s;
+        return parse_number(key, value, 0.0, DBL_MAX, &weights.w_slo);
     } else if (key == "jct_ref_s") {
-        if (auto s = to_pos(spec.weights.jct_ref_s); !s.is_ok())
-            return s;
+        return parse_number(key, value, kAboveZero, DBL_MAX,
+                            &weights.jct_ref_s);
     } else if (key == "energy_ref_kwh") {
-        if (auto s = to_pos(spec.weights.energy_ref_kwh); !s.is_ok())
-            return s;
+        return parse_number(key, value, kAboveZero, DBL_MAX,
+                            &weights.energy_ref_kwh);
     } else if (key == "mixes") {
         auto list = parse_list(key, value);
         if (!list.is_ok())
@@ -206,16 +89,8 @@ apply_tune_key(const std::string &key, const std::string &value,
         }
         spec.mixes = std::move(list).value();
     } else if (key == "eval_seeds") {
-        auto list = parse_list(key, value);
-        if (!list.is_ok())
-            return list.status();
-        spec.eval_seeds.clear();
-        for (const auto &item : list.value()) {
-            auto v = parse_u64(key, item);
-            if (!v.is_ok())
-                return v.status();
-            spec.eval_seeds.push_back(v.value());
-        }
+        return parse_number_list(key, value, 0, UINT64_MAX,
+                                 &spec.eval_seeds);
     } else if (key == "scheduler") {
         if (!sched::make_scheduler(value, {}))
             return Status::invalid_argument("unknown scheduler: " + value);
@@ -229,67 +104,14 @@ apply_tune_key(const std::string &key, const std::string &value,
     } else if (key == "fault_mode") {
         return driver::apply_fault_mode(value, &spec.base.stack);
     } else if (key == "power_cap_w") {
-        return to_nonneg(power_cap_w);
+        return parse_number(key, value, 0.0, DBL_MAX, &power_cap_w);
     } else if (key == "power_policy") {
         if (value != "admission" && value != "dvfs")
             return Status::invalid_argument("unknown power policy: " +
                                             value);
         power_policy = value;
-    } else if (key == "jobs") {
-        return to_pos_int(spec.base.trace.num_jobs);
-    } else if (key == "interarrival_s") {
-        return to_pos(spec.base.trace.mean_interarrival_s);
-    } else if (key == "diurnal") {
-        if (value == "true")
-            spec.base.trace.diurnal = true;
-        else if (value == "false")
-            spec.base.trace.diurnal = false;
-        else
-            return bad(key, value);
-    } else if (key == "frac_interactive") {
-        return to_frac(spec.base.trace.frac_interactive);
-    } else if (key == "frac_best_effort") {
-        return to_frac(spec.base.trace.frac_best_effort);
-    } else if (key == "frac_deadline") {
-        return to_frac(spec.base.trace.frac_deadline);
-    } else if (key == "frac_elastic") {
-        return to_frac(spec.base.trace.frac_elastic);
-    } else if (key == "racks") {
-        return to_pos_int(spec.base.stack.cluster.topology.racks);
-    } else if (key == "nodes_per_rack") {
-        return to_pos_int(spec.base.stack.cluster.topology.nodes_per_rack);
-    } else if (key == "gpus_per_node") {
-        return to_pos_int(spec.base.stack.cluster.node.gpu_count);
-    } else if (key == "oversubscription") {
-        auto v = parse_double(key, value);
-        if (!v.is_ok())
-            return v.status();
-        if (v.value() < 1.0)
-            return bad(key, value);
-        spec.base.stack.cluster.topology.oversubscription = v.value();
-    } else if (key == "max_events") {
-        auto v = parse_u64(key, value);
-        if (!v.is_ok())
-            return v.status();
-        if (v.value() == 0)
-            return bad(key, value);
-        spec.base.max_events = v.value();
-    } else if (key == "streaming") {
-        if (value == "true")
-            spec.base.streaming = true;
-        else if (value == "false")
-            spec.base.streaming = false;
-        else
-            return bad(key, value);
-    } else if (key == "stream_window") {
-        auto v = parse_u64(key, value);
-        if (!v.is_ok())
-            return v.status();
-        if (v.value() == 0)
-            return bad(key, value);
-        spec.base.stream_window = size_t(v.value());
     } else {
-        return Status::invalid_argument("unknown key: " + key);
+        return driver::apply_scenario_key(key, value, &spec.base);
     }
     return Status::ok();
 }
@@ -383,26 +205,14 @@ parse_tune_spec(const std::string &text)
     double power_cap_w = 0;
     std::string power_policy = "admission";
 
-    int lineno = 0;
-    for (const auto &raw_line : split(text, '\n')) {
-        ++lineno;
-        const std::string line{trim(raw_line)};
-        if (line.empty() || line[0] == '#')
-            continue;
-        const size_t colon = line.find(':');
-        if (colon == std::string::npos) {
-            return Status::invalid_argument(
-                strfmt("line %d: malformed line: ", lineno) + line);
-        }
-        const std::string key{trim(line.substr(0, colon))};
-        const std::string value{trim(line.substr(colon + 1))};
-        if (auto s = apply_tune_key(key, value, spec, power_cap_w,
-                                    power_policy);
-            !s.is_ok()) {
-            return Status::invalid_argument(
-                strfmt("line %d: ", lineno) + s.message());
-        }
-    }
+    if (auto s = for_each_kv_line(
+            text,
+            [&](const std::string &key, const std::string &value) {
+                return apply_tune_key(key, value, spec, power_cap_w,
+                                      power_policy);
+            });
+        !s.is_ok())
+        return s;
 
     if (auto s = driver::apply_power_mode(power_cap_w, power_policy,
                                           &spec.base.stack);
@@ -423,12 +233,10 @@ parse_tune_spec(const std::string &text)
 StatusOr<TuneSpec>
 load_tune_spec(const std::string &path)
 {
-    std::ifstream in(path);
-    if (!in)
-        return Status::not_found("cannot read tune spec: " + path);
-    std::ostringstream text;
-    text << in.rdbuf();
-    return parse_tune_spec(text.str());
+    auto text = read_text_file(path);
+    if (!text.is_ok())
+        return text.status();
+    return parse_tune_spec(text.value());
 }
 
 namespace {

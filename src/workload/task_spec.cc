@@ -1,5 +1,8 @@
 #include "workload/task_spec.h"
 
+#include <cfloat>
+#include <climits>
+#include <cstdint>
 #include <sstream>
 
 #include "common/strings.h"
@@ -92,7 +95,8 @@ TaskSpec::validate() const
                                                gpus));
     if (gpus_per_node_limit <= 0)
         return Status::invalid_argument("gpus_per_node_limit must be > 0");
-    if (cpu_cores_per_gpu < 0 || memory_gb_per_gpu < 0)
+    // Written so that a NaN memory demand fails too.
+    if (cpu_cores_per_gpu < 0 || !(memory_gb_per_gpu >= 0))
         return Status::invalid_argument("negative cpu/memory demand");
     if (time_limit.is_zero() || time_limit.is_negative())
         return Status::invalid_argument("time_limit must be positive");
@@ -153,132 +157,108 @@ TaskSpec::to_text() const
     return os.str();
 }
 
+namespace {
+
+/** Applies one `key: value` line of the task schema to `spec`. */
+Status
+apply_task_key(const std::string &key, const std::string &value,
+               TaskSpec &spec)
+{
+    // Integers are bounded by their field's type; seconds so that
+    // Duration::seconds cannot overflow. Signs are kept: validate()
+    // names the field a negative value breaks.
+    const auto to_duration = [&](Duration *out) {
+        int64_t s = 0;
+        if (!parse_number(value, -Duration::kMaxSeconds,
+                          Duration::kMaxSeconds, &s))
+            return bad_value(key, value);
+        *out = Duration::seconds(s);
+        return Status::ok();
+    };
+    if (key == "task") {
+        spec.name = value;
+    } else if (key == "user") {
+        spec.user = value;
+    } else if (key == "group") {
+        spec.group = value;
+    } else if (key == "gpus") {
+        return parse_number(key, value, INT_MIN, INT_MAX, &spec.gpus);
+    } else if (key == "gpu_model") {
+        spec.gpu_model = value;
+    } else if (key == "gpus_per_node_limit") {
+        return parse_number(key, value, INT_MIN, INT_MAX,
+                            &spec.gpus_per_node_limit);
+    } else if (key == "cpu_cores_per_gpu") {
+        return parse_number(key, value, INT_MIN, INT_MAX,
+                            &spec.cpu_cores_per_gpu);
+    } else if (key == "memory_gb_per_gpu") {
+        return parse_number(key, value, -DBL_MAX, DBL_MAX,
+                            &spec.memory_gb_per_gpu);
+    } else if (key == "qos") {
+        auto q = parse_qos_class(value);
+        if (!q.is_ok())
+            return q.status();
+        spec.qos = q.value();
+    } else if (key == "preemptible") {
+        return parse_bool(key, value, &spec.preemptible);
+    } else if (key == "time_limit_s") {
+        return to_duration(&spec.time_limit);
+    } else if (key == "deadline_s") {
+        return to_duration(&spec.deadline);
+    } else if (key == "model") {
+        spec.model = value;
+    } else if (key == "iterations") {
+        return parse_number(key, value, INT64_MIN, INT64_MAX,
+                            &spec.iterations);
+    } else if (key == "artifact") {
+        // "name,bytes,version"
+        auto parts = parse_list(key, value);
+        if (!parts.is_ok())
+            return parts.status();
+        Artifact a;
+        if (parts.value().size() != 3 ||
+            !parse_number(parts.value()[1], 0, UINT64_MAX, &a.bytes) ||
+            !parse_number(parts.value()[2], 0, UINT64_MAX, &a.version))
+            return bad_value(key, value);
+        a.name = parts.value()[0];
+        spec.artifacts.push_back(std::move(a));
+    } else if (key == "runtime") {
+        auto r = parse_runtime_pref(value);
+        if (!r.is_ok())
+            return r.status();
+        spec.runtime = r.value();
+    } else if (key == "transport") {
+        auto t = parse_transport_pref(value);
+        if (!t.is_ok())
+            return t.status();
+        spec.transport = t.value();
+    } else if (key == "image") {
+        spec.image = value;
+    } else if (key == "min_gpus") {
+        return parse_number(key, value, INT_MIN, INT_MAX, &spec.min_gpus);
+    } else if (key == "max_gpus") {
+        return parse_number(key, value, INT_MIN, INT_MAX, &spec.max_gpus);
+    } else {
+        return Status::invalid_argument("unknown key: " + key);
+    }
+    return Status::ok();
+}
+
+} // namespace
+
 StatusOr<TaskSpec>
 TaskSpec::parse(const std::string &text)
 {
     TaskSpec spec;
     spec.artifacts.clear();
-
-    for (const auto &raw_line : split(text, '\n')) {
-        const std::string line{trim(raw_line)};
-        if (line.empty() || line[0] == '#')
-            continue;
-        const size_t colon = line.find(':');
-        if (colon == std::string::npos)
-            return Status::invalid_argument("malformed line: " + line);
-        const std::string key{trim(line.substr(0, colon))};
-        const std::string value{trim(line.substr(colon + 1))};
-
-        auto to_int = [&](int64_t &out) -> Status {
-            try {
-                size_t pos = 0;
-                out = std::stoll(value, &pos);
-                if (pos != value.size())
-                    throw std::invalid_argument(value);
-            } catch (const std::exception &) {
-                return Status::invalid_argument("bad integer for " + key +
-                                                ": " + value);
-            }
-            return Status::ok();
-        };
-        auto to_double = [&](double &out) -> Status {
-            try {
-                size_t pos = 0;
-                out = std::stod(value, &pos);
-                if (pos != value.size())
-                    throw std::invalid_argument(value);
-            } catch (const std::exception &) {
-                return Status::invalid_argument("bad number for " + key +
-                                                ": " + value);
-            }
-            return Status::ok();
-        };
-
-        int64_t iv = 0;
-        if (key == "task") {
-            spec.name = value;
-        } else if (key == "user") {
-            spec.user = value;
-        } else if (key == "group") {
-            spec.group = value;
-        } else if (key == "gpus") {
-            if (auto s = to_int(iv); !s.is_ok())
-                return s;
-            spec.gpus = int(iv);
-        } else if (key == "gpu_model") {
-            spec.gpu_model = value;
-        } else if (key == "gpus_per_node_limit") {
-            if (auto s = to_int(iv); !s.is_ok())
-                return s;
-            spec.gpus_per_node_limit = int(iv);
-        } else if (key == "cpu_cores_per_gpu") {
-            if (auto s = to_int(iv); !s.is_ok())
-                return s;
-            spec.cpu_cores_per_gpu = int(iv);
-        } else if (key == "memory_gb_per_gpu") {
-            if (auto s = to_double(spec.memory_gb_per_gpu); !s.is_ok())
-                return s;
-        } else if (key == "qos") {
-            auto q = parse_qos_class(value);
-            if (!q.is_ok())
-                return q.status();
-            spec.qos = q.value();
-        } else if (key == "preemptible") {
-            if (value != "true" && value != "false")
-                return Status::invalid_argument("bad bool: " + value);
-            spec.preemptible = value == "true";
-        } else if (key == "time_limit_s") {
-            if (auto s = to_int(iv); !s.is_ok())
-                return s;
-            spec.time_limit = Duration::seconds(iv);
-        } else if (key == "deadline_s") {
-            if (auto s = to_int(iv); !s.is_ok())
-                return s;
-            spec.deadline = Duration::seconds(iv);
-        } else if (key == "model") {
-            spec.model = value;
-        } else if (key == "iterations") {
-            if (auto s = to_int(iv); !s.is_ok())
-                return s;
-            spec.iterations = iv;
-        } else if (key == "artifact") {
-            const auto parts = split(value, ',');
-            if (parts.size() != 3)
-                return Status::invalid_argument("bad artifact: " + value);
-            Artifact a;
-            a.name = std::string(trim(parts[0]));
-            try {
-                a.bytes = std::stoull(std::string(trim(parts[1])));
-                a.version = std::stoull(std::string(trim(parts[2])));
-            } catch (const std::exception &) {
-                return Status::invalid_argument("bad artifact: " + value);
-            }
-            spec.artifacts.push_back(std::move(a));
-        } else if (key == "runtime") {
-            auto r = parse_runtime_pref(value);
-            if (!r.is_ok())
-                return r.status();
-            spec.runtime = r.value();
-        } else if (key == "transport") {
-            auto t = parse_transport_pref(value);
-            if (!t.is_ok())
-                return t.status();
-            spec.transport = t.value();
-        } else if (key == "image") {
-            spec.image = value;
-        } else if (key == "min_gpus") {
-            if (auto s = to_int(iv); !s.is_ok())
-                return s;
-            spec.min_gpus = int(iv);
-        } else if (key == "max_gpus") {
-            if (auto s = to_int(iv); !s.is_ok())
-                return s;
-            spec.max_gpus = int(iv);
-        } else {
-            return Status::invalid_argument("unknown key: " + key);
-        }
-    }
-
+    if (auto s = for_each_kv_line(text,
+                                  [&](const std::string &key,
+                                      const std::string &value) {
+                                      return apply_task_key(key, value,
+                                                            spec);
+                                  });
+        !s.is_ok())
+        return s;
     if (auto s = spec.validate(); !s.is_ok())
         return s;
     return spec;

@@ -1,6 +1,8 @@
 #include "workload/trace_io.h"
 
-#include <cinttypes>
+#include <cfloat>
+#include <climits>
+#include <cstdint>
 #include <fstream>
 #include <sstream>
 
@@ -62,37 +64,52 @@ parse_trace_row(const std::string &line, size_t row)
     }
     SubmittedTask entry;
     TaskSpec &s = entry.spec;
-    try {
-        // Negative, non-finite or overflowing arrivals are not times the
-        // simulator can reach: reject them here instead of asserting there.
-        const double arrival_s = std::stod(fields[0]);
-        if (!(arrival_s >= 0.0 && arrival_s * 1e6 < 0x1p63)) {
-            return Status::invalid_argument(
-                strfmt("row %zu: bad arrival_s '%s'", row + 1,
-                       fields[0].c_str()));
-        }
-        entry.arrival =
-            TimePoint::origin() + Duration::from_seconds(arrival_s);
-        s.name = fields[1];
-        s.user = fields[2];
-        s.group = fields[3];
-        s.gpus = std::stoi(fields[4]);
-        s.gpu_model = fields[5];
-        auto qos = parse_qos_class(fields[6]);
-        if (!qos.is_ok())
-            return qos.status();
-        s.qos = qos.value();
-        s.preemptible = fields[7] == "1";
-        s.model = fields[8];
-        s.iterations = std::stoll(fields[9]);
-        s.time_limit = Duration::seconds(std::stoll(fields[10]));
-        s.deadline = Duration::seconds(std::stoll(fields[11]));
-        s.min_gpus = std::stoi(fields[12]);
-        s.max_gpus = std::stoi(fields[13]);
-    } catch (const std::exception &) {
-        return Status::invalid_argument(
-            strfmt("row %zu: malformed number", row + 1));
+    // Negative, non-finite or overflowing arrivals are not times the
+    // simulator can reach: reject them here instead of asserting there.
+    double arrival_s = 0;
+    if (!parse_number(trim(fields[0]), 0.0, DBL_MAX, &arrival_s) ||
+        !(arrival_s * 1e6 < 0x1p63)) {
+        return Status::invalid_argument(strfmt(
+            "row %zu: bad arrival_s '%s'", row + 1, fields[0].c_str()));
     }
+    entry.arrival = TimePoint::origin() + Duration::from_seconds(arrival_s);
+    // The other numbers: integers bounded by their field's type, seconds
+    // so that Duration::seconds cannot overflow.
+    const auto number = [&](size_t i, auto lo, auto hi, auto *out) {
+        return parse_number(trim(fields[i]), lo, hi, out);
+    };
+    int64_t time_limit_s = 0, deadline_s = 0;
+    const int64_t max_s = Duration::kMaxSeconds;
+    size_t bad = 0;
+    if (!number(4, INT_MIN, INT_MAX, &s.gpus))
+        bad = 4;
+    else if (!number(9, INT64_MIN, INT64_MAX, &s.iterations))
+        bad = 9;
+    else if (!number(10, -max_s, max_s, &time_limit_s))
+        bad = 10;
+    else if (!number(11, -max_s, max_s, &deadline_s))
+        bad = 11;
+    else if (!number(12, INT_MIN, INT_MAX, &s.min_gpus))
+        bad = 12;
+    else if (!number(13, INT_MIN, INT_MAX, &s.max_gpus))
+        bad = 13;
+    if (bad) {
+        return Status::invalid_argument(
+            strfmt("row %zu: ", row + 1) +
+            bad_value(split(kHeader, ',')[bad], fields[bad]).message());
+    }
+    s.time_limit = Duration::seconds(time_limit_s);
+    s.deadline = Duration::seconds(deadline_s);
+    s.name = fields[1];
+    s.user = fields[2];
+    s.group = fields[3];
+    s.gpu_model = fields[5];
+    auto qos = parse_qos_class(fields[6]);
+    if (!qos.is_ok())
+        return qos.status();
+    s.qos = qos.value();
+    s.preemptible = fields[7] == "1";
+    s.model = fields[8];
     s.artifacts = default_artifacts(s, row);
     if (auto st = s.validate(); !st.is_ok()) {
         return Status::invalid_argument(
@@ -141,12 +158,10 @@ write_trace_file(const std::string &path,
 StatusOr<std::vector<SubmittedTask>>
 read_trace_file(const std::string &path)
 {
-    std::ifstream file(path);
-    if (!file)
-        return Status::not_found("cannot open " + path);
-    std::stringstream buffer;
-    buffer << file.rdbuf();
-    return trace_from_csv(buffer.str());
+    auto csv = read_text_file(path);
+    if (!csv.is_ok())
+        return csv.status();
+    return trace_from_csv(csv.value());
 }
 
 } // namespace tacc::workload

@@ -1,6 +1,6 @@
 # Feeds bad numbers through the CLI surfaces. tcloud must refuse a
-# deployment config with `oversubscription: nan`, keep going and run the
-# demo on the default cluster; tacc_sweep must refuse a spec with a NaN
+# deployment config with `oversubscription: nan` or `gpu: A100,nan,80`,
+# keep going and run the demo on the default cluster; tacc_sweep must refuse a spec with a NaN
 # load and exit non-zero with the parse error (an assert would abort both).
 # The numeric flags of tacc_sweep and tacc_tune must reject an empty
 # value, a non-number, trailing garbage, a sign and overflow with the
@@ -27,6 +27,29 @@ if(out MATCHES "opened cluster")
 endif()
 if(NOT out MATCHES "submitted 1 demo job\\(s\\)" OR
    NOT out MATCHES "campus \\*" OR NOT out MATCHES "running")
+    message(FATAL_ERROR "the demo did not run on the default cluster")
+endif()
+
+# The same for a tuple key: a NaN GPU speed must be refused at parse time,
+# not reach the execution engine's assert on the first job.
+execute_process(
+    COMMAND "${TCLOUD}" -c
+            "open ${FIXTURES}/bad_gpu.cfg x; demo 1; run 600; clusters; ps"
+    RESULT_VARIABLE result
+    OUTPUT_VARIABLE out
+    ERROR_VARIABLE err)
+message("${out}${err}")
+if(NOT result EQUAL 0)
+    message(FATAL_ERROR "tcloud exited with '${result}', expected 0")
+endif()
+if(NOT out MATCHES "bad value for gpu")
+    message(FATAL_ERROR "tcloud did not reject the NaN GPU speed")
+endif()
+if(out MATCHES "opened cluster")
+    message(FATAL_ERROR "tcloud opened the bad config")
+endif()
+if(NOT out MATCHES "submitted 1 demo job\\(s\\)" OR
+   NOT out MATCHES "campus \\*")
     message(FATAL_ERROR "the demo did not run on the default cluster")
 endif()
 

@@ -114,19 +114,72 @@ TEST(ConfigIo, RejectsBadInput)
     EXPECT_FALSE(parse_stack_config("usage_half_life_h: 0\n").is_ok());
 }
 
-TEST(ConfigIo, RejectsNonFiniteNumbers)
+// The tuple keys read every field with the shared number grammar and
+// bound it: tflops > 0, memory_gb >= 0, gpu counts > 0, watts >= 0.
+void
+expect_tuple_rejected(const std::string &key, const std::string &value)
 {
-    // NaN passes every range check, so it must be refused as a number.
-    for (const char *text :
-         {"oversubscription: nan\n", "nic_gbps: nan\n", "nic_gbps: inf\n",
-          "w_age: nan\n", "mtbf_hours: -inf\n",
-          "checkpoint_interval_s: nan\n"}) {
-        SCOPED_TRACE(text);
-        const auto parsed = parse_stack_config(text);
-        ASSERT_FALSE(parsed.is_ok());
-        EXPECT_NE(parsed.status().message().find("bad value for"),
-                  std::string::npos)
-            << parsed.status().str();
+    const auto parsed = parse_stack_config(key + ": " + value + "\n");
+    ASSERT_FALSE(parsed.is_ok()) << key << ": " << value;
+    EXPECT_NE(parsed.status().message().find("line 1: bad value for " + key),
+              std::string::npos)
+        << parsed.status().str();
+}
+
+TEST(ConfigIo, GpuTupleFieldsAreNumbersInRange)
+{
+    auto ok = parse_stack_config("gpu: H100, 989.5 ,80\n");
+    ASSERT_TRUE(ok.is_ok()) << ok.status().str();
+    EXPECT_EQ(ok.value().cluster.node.gpu.model, "H100");
+    EXPECT_EQ(ok.value().cluster.node.gpu.tflops, 989.5);
+    EXPECT_EQ(ok.value().cluster.node.gpu.memory_gb, 80.0);
+    EXPECT_TRUE(parse_stack_config("gpu: T4,65,0\n").is_ok());
+    for (const char *value :
+         {"A100,nan,80", "A100,312junk,-80", "A100,312,-80", "A100,0,80",
+          "A100,-312,80", "A100,312,inf", "A100,+312,80", ",312,80",
+          "A100,312,80,1"}) {
+        expect_tuple_rejected("gpu", value);
+    }
+}
+
+TEST(ConfigIo, RackOverrideTupleFieldsAreNumbersInRange)
+{
+    auto ok = parse_stack_config("rack_override: 0,V100,125,32,4\n");
+    ASSERT_TRUE(ok.is_ok()) << ok.status().str();
+    EXPECT_EQ(ok.value().cluster.rack_node_overrides.at(0).gpu_count, 4);
+    for (const char *value :
+         {"-1,V100,125,32,4", "1.5,V100,125,32,4", "1,V100,nan,32,4",
+          "1,V100,0,32,4", "1,V100,125,-1,4", "1,V100,125,32,0",
+          "1,V100,125,32,4x", "1,V100,125,32,4294967296",
+          "+1,V100,125,32,4"}) {
+        expect_tuple_rejected("rack_override", value);
+    }
+}
+
+TEST(ConfigIo, QuotaTupleCapIsASignedInt)
+{
+    auto ok = parse_stack_config("quota: lab,64\nquota: free,-1\n");
+    ASSERT_TRUE(ok.is_ok()) << ok.status().str();
+    EXPECT_EQ(ok.value().group_quotas.at("lab"), 64);
+    EXPECT_EQ(ok.value().group_quotas.at("free"), -1);
+    for (const char *value : {"lab,nan", "lab,64x", "lab,6.4", "lab,+64",
+                              "lab,2147483648", "lab,", ",64"}) {
+        expect_tuple_rejected("quota", value);
+    }
+}
+
+TEST(ConfigIo, PowerGpuWTupleWattsAreNonNegative)
+{
+    auto ok = parse_stack_config("power_gpu_w: 55,350\n"
+                                 "power_gpu_w: H100,70,700\n");
+    ASSERT_TRUE(ok.is_ok()) << ok.status().str();
+    EXPECT_EQ(ok.value().power.default_gpu.idle_w, 55.0);
+    EXPECT_EQ(ok.value().power.default_gpu.active_w, 350.0);
+    EXPECT_EQ(ok.value().power.gpu_power.at("H100").active_w, 700.0);
+    for (const char *value : {"nan,350", "55,inf", "-1,350", "55,-350",
+                              "H100,70,nan", "H100,-70,700", "55",
+                              "H100,70,700,1", "55,350x"}) {
+        expect_tuple_rejected("power_gpu_w", value);
     }
 }
 

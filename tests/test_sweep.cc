@@ -77,24 +77,32 @@ TEST(SweepSpecParse, RejectsUnknownKey)
               std::string::npos);
 }
 
-TEST(SweepSpecParse, RejectsNonFiniteNumbers)
-{
-    for (const char *text :
-         {"interarrival_s: nan\n", "loads: 0.5,nan\n", "loads: inf\n",
-          "oversubscription: nan\n", "node_mtbf_hours: -inf\n"}) {
-        SCOPED_TRACE(text);
-        const auto spec = parse_sweep_spec(text);
-        ASSERT_FALSE(spec.is_ok());
-        EXPECT_NE(spec.status().message().find("bad value for"),
-                  std::string::npos)
-            << spec.status().str();
-    }
-}
-
 TEST(SweepSpecParse, RejectsUnknownScheduler)
 {
     auto spec = parse_sweep_spec("schedulers: no-such-policy\n");
     EXPECT_FALSE(spec.is_ok());
+}
+
+// Unsigned fields take no sign, so "-1" cannot wrap to 2^64 - 1 (a
+// scenario named .../s18446744073709551615) and "+7" is refused as
+// it is on the command line.
+TEST(SweepSpecParse, UnsignedFieldsTakeNoSign)
+{
+    for (const char *text :
+         {"seeds: -1\n", "seeds: 1,+7\n", "seeds: 18446744073709551616\n",
+          "max_events: -1\n", "max_events: +7\n", "stream_window: -1\n",
+          "stream_window: +7\n"}) {
+        SCOPED_TRACE(text);
+        const auto spec = parse_sweep_spec(text);
+        ASSERT_FALSE(spec.is_ok());
+        EXPECT_NE(spec.status().message().find("line 1: bad value for"),
+                  std::string::npos)
+            << spec.status().str();
+    }
+    const auto edges = parse_sweep_spec("seeds: 0,18446744073709551615\n");
+    ASSERT_TRUE(edges.is_ok()) << edges.status().str();
+    EXPECT_EQ(edges.value().seeds,
+              (std::vector<uint64_t>{0, 18446744073709551615ULL}));
 }
 
 TEST(SweepSpecParse, RejectsUnknownPreemptMode)

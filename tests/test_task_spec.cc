@@ -5,8 +5,10 @@
  */
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <ostream>
 
+#include "common/strings.h"
 #include "workload/task_spec.h"
 
 namespace tacc::workload {
@@ -72,6 +74,8 @@ INSTANTIATE_TEST_SUITE_P(
                     [](TaskSpec &s) { s.cpu_cores_per_gpu = -1; }},
         InvalidCase{"negative_mem",
                     [](TaskSpec &s) { s.memory_gb_per_gpu = -1; }},
+        InvalidCase{"nan_mem",
+                    [](TaskSpec &s) { s.memory_gb_per_gpu = std::nan(""); }},
         InvalidCase{"zero_time_limit",
                     [](TaskSpec &s) { s.time_limit = Duration::zero(); }},
         InvalidCase{"empty_model", [](TaskSpec &s) { s.model.clear(); }},
@@ -163,6 +167,35 @@ TEST(TaskSpec, ParseRejectsMalformedLines)
             .is_ok());
     EXPECT_FALSE(
         TaskSpec::parse(valid_spec().to_text() + "qos: royal\n").is_ok());
+}
+
+// Integers are bounded by their field's type (gpus 4294967297 must not
+// narrow to 1), seconds so that Duration::seconds cannot overflow,
+// unsigned fields take no sign, and doubles must be finite.
+TEST(TaskSpec, ParseBoundsEveryNumber)
+{
+    const std::string base = valid_spec().to_text();
+    const int bad_line = int(split(base, '\n').size());
+    for (const char *line :
+         {"gpus: 4294967297", "gpus: 8.0", "gpus: +8", "iterations: 1e3",
+          "iterations: 9223372036854775808", "memory_gb_per_gpu: nan",
+          "memory_gb_per_gpu: inf", "time_limit_s: 9223372036855",
+          "deadline_s: -9223372036855", "time_limit_s: 99999999999999999999",
+          "artifact: code,-1,1", "artifact: code,1000,+7",
+          "artifact: code,1e3,1", "min_gpus: 2147483648"}) {
+        SCOPED_TRACE(line);
+        const auto parsed = TaskSpec::parse(base + line + "\n");
+        ASSERT_FALSE(parsed.is_ok());
+        EXPECT_NE(parsed.status().message().find(
+                      strfmt("line %d: bad value for", bad_line)),
+                  std::string::npos)
+            << parsed.status().str();
+    }
+    // The largest whole-second limit a Duration holds still parses.
+    const auto edge = TaskSpec::parse(base + "time_limit_s: 9223372036854\n");
+    ASSERT_TRUE(edge.is_ok()) << edge.status().str();
+    EXPECT_EQ(edge.value().time_limit,
+              Duration::seconds(Duration::kMaxSeconds));
 }
 
 TEST(TaskSpec, ParseValidatesResult)

@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <utility>
 
+#include "common/strings.h"
 #include "workload/stream.h"
 #include "workload/trace_io.h"
 
@@ -91,6 +93,32 @@ TEST(TraceIo, RejectsMalformedInput)
                                  "max_gpus\n") +
                      "1.0,j,u,g,0,,batch,1,resnet50,10,60,0,0,0\n")
                      .is_ok());
+}
+
+// Every other number goes through the shared grammar too: "4abc" and
+// "8.5" are not 4 and 8 GPUs, "1e3" is not 1 iteration, and a time limit
+// must fit Duration::seconds.
+TEST(TraceIo, RejectsMalformedNumbers)
+{
+    const std::string header = std::string(trace_csv_header()) + "\n";
+    const std::string good = "0,j,u,g,4,,batch,1,resnet50,10,60,0,0,0";
+    ASSERT_TRUE(trace_from_csv(header + good + "\n").is_ok());
+    const auto names = split(trace_csv_header(), ',');
+    const std::pair<size_t, const char *> cases[] = {
+        {4, "4abc"}, {4, "8.5"}, {4, "4294967297"}, {4, "+4"},
+        {9, "1e3"}, {9, "10x"}, {10, "9223372036855"},
+        {11, "-9223372036855"}, {12, "nan"}, {13, ""}};
+    for (const auto &[field, token] : cases) {
+        auto fields = split(good, ',');
+        fields[field] = token;
+        SCOPED_TRACE(join(fields, ","));
+        const auto parsed = trace_from_csv(header + join(fields, ",") + "\n");
+        ASSERT_FALSE(parsed.is_ok());
+        EXPECT_NE(parsed.status().message().find("row 1: bad value for " +
+                                                 names[field]),
+                  std::string::npos)
+            << parsed.status().str();
+    }
 }
 
 // Arrivals the simulator cannot reach (before the origin, non-finite, or

@@ -14,12 +14,12 @@
  * With --config, the swept deployments inherit everything (scheduler,
  * hardware, failure policy) from the file except the rack count.
  */
+#include <cfloat>
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 
+#include "common/strings.h"
 #include "common/table.h"
 #include "core/config_io.h"
 #include "core/scenario.h"
@@ -36,14 +36,10 @@ main(int argc, char **argv)
 
     int arg = 1;
     if (arg + 1 < argc && std::strcmp(argv[arg], "--config") == 0) {
-        std::ifstream file(argv[arg + 1]);
-        if (!file) {
-            std::fprintf(stderr, "cannot open %s\n", argv[arg + 1]);
-            return 1;
-        }
-        std::stringstream buffer;
-        buffer << file.rdbuf();
-        auto parsed = core::parse_stack_config(buffer.str());
+        auto text = read_text_file(argv[arg + 1]);
+        auto parsed = text.is_ok() ? core::parse_stack_config(text.value())
+                                   : StatusOr<core::StackConfig>(
+                                         text.status());
         if (!parsed.is_ok()) {
             std::fprintf(stderr, "config: %s\n",
                          parsed.status().str().c_str());
@@ -53,11 +49,19 @@ main(int argc, char **argv)
         base.emit_monitor_logs = false;
         arg += 2;
     }
-    const int jobs = arg < argc ? std::atoi(argv[arg++]) : 600;
-    const double interarrival =
-        arg < argc ? std::atof(argv[arg++]) : 90.0;
-    const double target_wait_min =
-        arg < argc ? std::atof(argv[arg++]) : 30.0;
+    int jobs = 600;
+    double interarrival = 90.0;
+    double target_wait_min = 30.0;
+    if ((arg < argc && !parse_number(argv[arg++], 1, INT_MAX, &jobs)) ||
+        (arg < argc &&
+         !parse_number(argv[arg++], kAboveZero, DBL_MAX, &interarrival)) ||
+        (arg < argc &&
+         !parse_number(argv[arg++], 0.0, DBL_MAX, &target_wait_min))) {
+        std::fprintf(stderr,
+                     "usage: capacity_planner [--config FILE] [jobs] "
+                     "[mean_interarrival_s] [target_mean_wait_min]\n");
+        return 2;
+    }
 
     std::printf("workload: %d jobs, %.0f s mean inter-arrival; SLO: mean "
                 "wait <= %.0f min\n\n",

@@ -34,7 +34,6 @@
 #include <cstdio>
 #include <exception>
 #include <fstream>
-#include <iterator>
 #include <string>
 
 #include "common/hash.h"
@@ -121,10 +120,8 @@ main(int argc, char **argv)
             const char *v = value();
             if (!v)
                 return usage(argv[0]);
-            uint64_t jobs = 0;
-            if (!parse_uint(v, INT_MAX, &jobs))
+            if (!parse_number(v, 0, INT_MAX, &opt.jobs))
                 return usage(argv[0]);
-            opt.jobs = int(jobs);
         } else if (arg == "--out") {
             const char *v = value();
             if (!v)
@@ -210,17 +207,15 @@ main(int argc, char **argv)
     }
 
     if (opt.check_goldens) {
-        std::ifstream in(opt.goldens_path);
-        if (!in) {
+        const auto golden = read_text_file(opt.goldens_path);
+        if (!golden.is_ok()) {
             std::fprintf(stderr,
                          "tacc_sweep: cannot read goldens %s "
                          "(run --update-goldens first)\n",
                          opt.goldens_path.c_str());
             return 2;
         }
-        std::string golden((std::istreambuf_iterator<char>(in)),
-                           std::istreambuf_iterator<char>());
-        const auto check = driver::check_digests(summary, golden);
+        const auto check = driver::check_digests(summary, golden.value());
         if (!check.ok) {
             std::fprintf(stderr, "GOLDEN DIGEST MISMATCH\n%s",
                          check.report.c_str());

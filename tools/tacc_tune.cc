@@ -36,7 +36,6 @@
 #include <cstdio>
 #include <exception>
 #include <fstream>
-#include <iterator>
 #include <string>
 
 #include "common/hash.h"
@@ -126,25 +125,21 @@ main(int argc, char **argv)
             const char *v = value();
             if (!v)
                 return usage(argv[0]);
-            uint64_t budget = 0;
-            if (!parse_uint(v, INT_MAX, &budget) || budget == 0)
+            if (!parse_number(v, 1, INT_MAX, &opt.budget))
                 return usage(argv[0]);
-            opt.budget = int(budget);
         } else if (arg == "--seed") {
             const char *v = value();
             if (!v)
                 return usage(argv[0]);
-            if (!parse_uint(v, UINT64_MAX, &opt.seed))
+            if (!parse_number(v, 0, UINT64_MAX, &opt.seed))
                 return usage(argv[0]);
             opt.have_seed = true;
         } else if (arg == "--jobs") {
             const char *v = value();
             if (!v)
                 return usage(argv[0]);
-            uint64_t jobs = 0;
-            if (!parse_uint(v, INT_MAX, &jobs))
+            if (!parse_number(v, 0, INT_MAX, &opt.jobs))
                 return usage(argv[0]);
-            opt.jobs = int(jobs);
         } else if (arg == "--out") {
             const char *v = value();
             if (!v)
@@ -254,21 +249,19 @@ main(int argc, char **argv)
     }
 
     if (opt.check_golden) {
-        std::ifstream in(opt.golden_path);
-        if (!in) {
+        const auto golden = read_text_file(opt.golden_path);
+        if (!golden.is_ok()) {
             std::fprintf(stderr,
                          "tacc_tune: cannot read golden %s "
                          "(run --update-golden first)\n",
                          opt.golden_path.c_str());
             return 2;
         }
-        std::string golden((std::istreambuf_iterator<char>(in)),
-                           std::istreambuf_iterator<char>());
-        if (golden != best_text) {
+        if (golden.value() != best_text) {
             std::fprintf(stderr,
                          "GOLDEN TUNE MISMATCH (%s)\n"
                          "--- golden ---\n%s--- actual ---\n%s",
-                         opt.golden_path.c_str(), golden.c_str(),
+                         opt.golden_path.c_str(), golden.value().c_str(),
                          best_text.c_str());
             return 1;
         }

@@ -33,8 +33,6 @@
  */
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <iostream>
@@ -61,20 +59,15 @@ constexpr double kMaxRunSeconds = 1e9; // ~32 years of simulated time
 
 /**
  * Reads an optional numeric argument: `fallback` when it is absent,
- * nullopt when it is not a finite number in [0, max].
+ * nullopt when it is not a number in [0, max] (see parse_number).
  */
 std::optional<double>
 read_number(std::istream &is, double fallback, double max)
 {
     std::string token;
-    if (!(is >> token))
-        return fallback;
-    char *end = nullptr;
-    const double v = std::strtod(token.c_str(), &end);
-    if (end == token.c_str() || *end != '\0' || !std::isfinite(v) ||
-        v < 0 || v > max) {
+    double v = fallback;
+    if (is >> token && !parse_number(token, 0.0, max, &v))
         return std::nullopt;
-    }
     return v;
 }
 
@@ -310,10 +303,15 @@ class Shell
             return;
         }
         std::string mode = "robust";
-        double rate_hz = 40.0;
-        is >> mode >> rate_hz;
+        is >> mode;
+        const auto rate_hz = read_number(is, 40.0, 1e6);
+        if (!rate_hz) {
+            std::printf("usage: serve demo [robust|baseline] [rate_hz]  "
+                        "(rate_hz: 0..1000000)\n");
+            return;
+        }
         core::StackConfig config = stack().config();
-        config.serve.request_rate_hz = rate_hz;
+        config.serve.request_rate_hz = *rate_hz;
         auto s = driver::apply_serve_mode(mode, 1.0, &config);
         if (!s.is_ok()) {
             std::printf("%s\n", s.str().c_str());
@@ -341,14 +339,12 @@ class Shell
             std::printf("usage: open <config-file> <new-profile-name>\n");
             return;
         }
-        std::ifstream file(path);
-        if (!file) {
-            std::printf("cannot open %s\n", path.c_str());
+        auto text = read_text_file(path);
+        if (!text.is_ok()) {
+            std::printf("%s\n", text.status().str().c_str());
             return;
         }
-        std::stringstream buffer;
-        buffer << file.rdbuf();
-        auto parsed = core::parse_stack_config(buffer.str());
+        auto parsed = core::parse_stack_config(text.value());
         if (!parsed.is_ok()) {
             std::printf("%s\n", parsed.status().str().c_str());
             return;
@@ -381,14 +377,12 @@ class Shell
     void
     submit_file(const std::string &path)
     {
-        std::ifstream file(path);
-        if (!file) {
-            std::printf("cannot open %s\n", path.c_str());
+        auto text = read_text_file(path);
+        if (!text.is_ok()) {
+            std::printf("%s\n", text.status().str().c_str());
             return;
         }
-        std::stringstream buffer;
-        buffer << file.rdbuf();
-        auto handle = client_.submit_text(buffer.str());
+        auto handle = client_.submit_text(text.value());
         if (handle.is_ok()) {
             std::printf("submitted job %llu to %s\n",
                         (unsigned long long)handle.value().job,
