@@ -65,7 +65,7 @@ main()
             if (job->state() == workload::JobState::kRunning &&
                 !predicted.contains(job->id())) {
                 predicted[job->id()] =
-                    stack.estimator().predict(*job).to_seconds();
+                    stack.active_estimator().predict(*job).to_seconds();
             }
             if (job->terminal() && predicted.contains(job->id()) &&
                 predicted[job->id()] > 0) {

@@ -30,6 +30,7 @@ TaccStack::TaccStack(StackConfig config, StackArena *arena)
       scheduler_(sched::make_scheduler(config_.scheduler,
                                        config_.sched_opts)),
       usage_(config_.usage_half_life),
+      predict_hub_(config_.predict),
       views_(cluster_)
 {
     assert(placement_ && "unknown placement policy name");
@@ -75,11 +76,6 @@ TaccStack::TaccStack(StackConfig config, StackArena *arena)
             std::make_unique<power::PowerManager>(cluster_, config_.power);
     }
 
-    if (config_.predict.enabled) {
-        predict_hub_ =
-            std::make_unique<predict::PredictionHub>(config_.predict);
-    }
-
     if (config_.serve.enabled) {
         serve::PlaneHooks hooks;
         hooks.spawn_replica = [this](int slot) {
@@ -98,9 +94,9 @@ TaccStack::TaccStack(StackConfig config, StackArena *arena)
             return state == cluster::NodeHealth::kDegraded ||
                    state == cluster::NodeHealth::kDown;
         };
-        if (predict_hub_) {
+        if (config_.predict.enabled) {
             hooks.forecast_rate = [this](double measured_hz) {
-                return predict_hub_->forecast_serve_rate(measured_hz);
+                return predict_hub_.forecast_serve_rate(measured_hz);
             };
         }
         serve_plane_ = std::make_unique<serve::RequestPlane>(
@@ -738,9 +734,7 @@ TaccStack::finalize(JobEntry &rec)
     const JobId id = job.id();
     rec.stage = Stage::kDone;
     --active_jobs_;
-    estimator_.observe(job); // no-op unless the job completed
-    if (predict_hub_)
-        predict_hub_->observe_completion(job);
+    predict_hub_.observe_completion(job); // no-op unless it completed
     // Drain the job's energy meter even when accounting is off, so the
     // ledger does not grow with terminal jobs.
     const double energy_kwh =
@@ -1057,7 +1051,7 @@ TaccStack::schedule_now()
     ctx.quota = &quota_;
     ctx.estimator = &active_estimator();
     ctx.predictions_authoritative =
-        predict_hub_ &&
+        config_.predict.enabled &&
         config_.predict.mode != predict::EstimatorMode::kLimit;
     ctx.avoid_gpu_mixing = config_.avoid_gpu_mixing;
     // Flaky-node scoreboard: veto nodes with recent fault strikes.
@@ -1098,15 +1092,15 @@ TaccStack::schedule_now()
         return engine_.iteration_time_s(job, placement);
     };
     views_.attach(ctx);
-    if (predict_hub_) {
+    if (config_.predict.enabled) {
         // Backlog series: pending GPU demand sampled per scheduling
         // pass, in event order — deterministic at any worker count.
         double pending_gpus = 0;
         for (const Job *job : ctx.pending)
             pending_gpus += double(job->spec().gpus);
-        predict_hub_->observe_backlog(pending_gpus);
+        predict_hub_.observe_backlog(pending_gpus);
         ctx.forecast_backlog_gpus =
-            predict_hub_->forecast_backlog(pending_gpus);
+            predict_hub_.forecast_backlog(pending_gpus);
     }
 
     const sched::ScheduleDecision decision = scheduler_->schedule(ctx);

@@ -99,8 +99,8 @@ struct StackConfig {
      * regression over completions) and short-horizon load forecaster
      * that become the stack's single prediction authority — backfill
      * reservations, elastic shrink victims, and serve autoscaling all
-     * consume it. Disabled (the default) keeps every run byte-identical
-     * to a stack without the subsystem.
+     * consume it. Disabled (the default), the runtime model is the
+     * per-(user, model) EMA and the load forecasters stay idle.
      */
     predict::PredictConfig predict;
     /**
@@ -164,21 +164,21 @@ class TaccStack
         return serve_plane_.get();
     }
     const sched::UsageTracker &usage() const { return usage_; }
-    const sched::RuntimeEstimator &estimator() const { return estimator_; }
-    /** The prediction hub; nullptr when config.predict.enabled is off. */
+    /** The prediction hub; nullptr when config.predict.enabled is off
+     *  (the stack still owns one: its model is active_estimator()). */
     const predict::PredictionHub *prediction_hub() const
     {
-        return predict_hub_.get();
+        return config_.predict.enabled ? &predict_hub_ : nullptr;
     }
     /**
-     * The estimator scheduling actually conditions on: the hub's online
-     * model when prediction is enabled, the built-in EMA table
-     * otherwise. Every prediction consumer routes through this.
+     * The estimator scheduling conditions on: the hub's runtime model,
+     * which with prediction off is the per-(user, model) EMA. Every
+     * prediction consumer routes through this.
      */
     const sched::RuntimeEstimator &
     active_estimator() const
     {
-        return predict_hub_ ? predict_hub_->model() : estimator_;
+        return predict_hub_.model();
     }
     sched::Scheduler &scheduler() { return *scheduler_; }
     const StackConfig &config() const { return config_; }
@@ -361,8 +361,7 @@ class TaccStack
     std::unique_ptr<sched::Scheduler> scheduler_;
     sched::UsageTracker usage_;
     sched::QuotaManager quota_;
-    sched::RuntimeEstimator estimator_;
-    std::unique_ptr<predict::PredictionHub> predict_hub_;
+    predict::PredictionHub predict_hub_;
     MetricsCollector metrics_;
     std::unique_ptr<ops::OpsCenter> ops_;
     std::unique_ptr<power::PowerManager> power_;

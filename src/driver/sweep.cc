@@ -21,6 +21,34 @@ load_tag(double load)
     return "x" + s;
 }
 
+/** An outer grid point: the base scenario with its fault, power,
+ *  serve and estimator modes applied, and the name suffix they add. */
+struct Variant {
+    core::ScenarioConfig config;
+    std::string suffix;
+};
+
+/**
+ * Crosses `variants` with one axis: every point is outer to all of
+ * them, and `apply(point, &stack)` applies it and returns its suffix.
+ */
+template <typename Point, typename Apply>
+std::vector<Variant>
+cross(const std::vector<Variant> &variants, const std::vector<Point> &points,
+      Apply apply)
+{
+    std::vector<Variant> out;
+    out.reserve(variants.size() * points.size());
+    for (const Point &point : points) {
+        for (const Variant &variant : variants) {
+            Variant next = variant;
+            next.suffix += apply(point, &next.config.stack);
+            out.push_back(std::move(next));
+        }
+    }
+    return out;
+}
+
 } // namespace
 
 Status
@@ -49,7 +77,7 @@ Status
 apply_power_mode(double cap_w, const std::string &policy,
                  core::StackConfig *stack)
 {
-    if (cap_w <= 0)
+    if (power_off(cap_w))
         return Status::ok(); // power off: the byte-identical baseline
     if (policy != "admission" && policy != "dvfs")
         return Status::invalid_argument("unknown power policy: " + policy);
@@ -90,7 +118,7 @@ Status
 apply_serve_mode(const std::string &mode, double burst,
                  core::StackConfig *stack)
 {
-    if (mode == "off")
+    if (serve_off(mode))
         return Status::ok(); // serving off: the byte-identical baseline
     if (mode != "robust" && mode != "baseline")
         return Status::invalid_argument("unknown serve mode: " + mode);
@@ -127,7 +155,7 @@ Status
 apply_estimator_mode(const std::string &mode, double bias,
                      core::StackConfig *stack)
 {
-    if (mode == "limit")
+    if (estimator_off(mode))
         return Status::ok(); // prediction off: the byte-identical baseline
     auto parsed = predict::parse_estimator_mode(mode);
     if (!parsed.is_ok())
@@ -141,135 +169,83 @@ apply_estimator_mode(const std::string &mode, double bias,
 std::vector<SweepScenario>
 expand_sweep(const SweepSpec &spec)
 {
-    // Estimator points in listed order; every "limit" collapses to the
-    // one unsuffixed prediction-off point (and bias only applies when
-    // prediction is on), so the pre-prediction grid survives verbatim.
-    std::vector<std::pair<std::string, double>> predict_points;
-    bool have_limit = false;
-    for (const auto &mode : spec.estimator_modes) {
-        if (mode == "limit") {
-            if (!have_limit) {
-                predict_points.emplace_back("", 1.0);
-                have_limit = true;
-            }
-        } else {
-            for (double bias : spec.mispredict_bias)
-                predict_points.emplace_back(mode, bias);
-        }
-    }
-
-    // Serve points in listed order; every "off" collapses to the one
-    // unsuffixed serving-off point (and bursts only apply when the
-    // plane is on), so the pre-serving grid survives verbatim.
-    std::vector<std::pair<std::string, double>> serve_points;
-    bool have_serve_off = false;
-    for (const auto &mode : spec.serve_modes) {
-        if (mode == "off") {
-            if (!have_serve_off) {
-                serve_points.emplace_back("", 1.0);
-                have_serve_off = true;
-            }
-        } else {
-            for (double burst : spec.bursts)
-                serve_points.emplace_back(mode, burst);
-        }
-    }
-
-    // Power points in listed order; every cap <= 0 collapses to the one
-    // unsuffixed power-off point so the pre-power grid survives verbatim
-    // (and the off point cannot collide with itself per policy).
-    std::vector<std::pair<double, std::string>> power_points;
-    bool have_off = false;
-    for (double cap : spec.power_caps) {
-        if (cap <= 0) {
-            if (!have_off) {
-                power_points.emplace_back(0.0, "");
-                have_off = true;
-            }
-        } else {
-            for (const auto &policy : spec.power_policies)
-                power_points.emplace_back(cap, policy);
-        }
-    }
+    // The outer axes are crossed innermost first, so the estimator ends
+    // up outermost, then serve, then power, then fault_modes, while each
+    // axis's name suffix follows those of the axes inside it. Off points
+    // ("none", every "limit", every "off", every cap <= 0) add no suffix
+    // and leave the stack alone, so "limit,<modes>", "off,<modes>",
+    // "0,<caps>" and "none,<more>" specs keep the plain grid as an
+    // unchanged prefix of the expansion. Modes are validated at parse
+    // time; an invalid one in a hand-built spec surfaces when the run
+    // fails.
+    std::vector<Variant> variants{{spec.base, ""}};
+    variants = cross(variants, spec.fault_modes,
+                     [](const std::string &mode, core::StackConfig *stack) {
+                         (void)apply_fault_mode(mode, stack);
+                         return mode == "none" ? std::string()
+                                               : "+" + mode;
+                     });
+    variants = cross(
+        variants,
+        collapse_off(spec.power_caps, spec.power_policies, power_off),
+        [](const auto &point, core::StackConfig *stack) {
+            if (!point)
+                return std::string();
+            const auto &[cap_w, policy] = *point;
+            (void)apply_power_mode(cap_w, policy, stack);
+            return strfmt("+%gkW-%s", cap_w / 1000.0, policy.c_str());
+        });
+    variants = cross(
+        variants, collapse_off(spec.serve_modes, spec.bursts, serve_off),
+        [](const auto &point, core::StackConfig *stack) {
+            if (!point)
+                return std::string();
+            const auto &[mode, burst] = *point;
+            (void)apply_serve_mode(mode, burst, stack);
+            return "+serve-" + mode +
+                   (burst != 1.0 ? strfmt("-b%g", burst) : "");
+        });
+    variants = cross(
+        variants,
+        collapse_off(spec.estimator_modes, spec.mispredict_bias,
+                     estimator_off),
+        [](const auto &point, core::StackConfig *stack) {
+            if (!point)
+                return std::string();
+            const auto &[mode, bias] = *point;
+            (void)apply_estimator_mode(mode, bias, stack);
+            return "+est-" + mode +
+                   (bias != 1.0 ? strfmt("-x%g", bias) : "");
+        });
 
     std::vector<SweepScenario> out;
     out.reserve(spec.grid_size());
-    // Estimator is the outermost axis, then serve, then power, then
-    // fault_modes, so "limit,<modes>", "off,<modes>", "0,<caps>" and
-    // "none,<more>" specs keep the plain grid as an unchanged prefix of
-    // the expansion.
-    for (const auto &[est_mode, est_bias] : predict_points) {
-    for (const auto &[serve_mode, burst] : serve_points) {
-    for (const auto &[cap_w, policy] : power_points) {
-        for (const auto &fault_mode : spec.fault_modes) {
-            for (const auto &scheduler : spec.schedulers) {
-                for (const auto &placement : spec.placements) {
-                    for (const auto &mode : spec.preempt_modes) {
-                        for (double load : spec.loads) {
-                            for (uint64_t seed : spec.seeds) {
-                                SweepScenario sc;
-                                sc.config = spec.base;
-                                sc.config.stack.scheduler = scheduler;
-                                sc.config.stack.placement = placement;
-                                // Validated at parse time; an invalid
-                                // mode in a hand-built spec surfaces
-                                // when the run fails.
-                                (void)apply_preempt_mode(
-                                    mode, &sc.config.stack);
-                                (void)apply_fault_mode(
-                                    fault_mode, &sc.config.stack);
-                                (void)apply_power_mode(
-                                    cap_w, policy, &sc.config.stack);
-                                if (!serve_mode.empty()) {
-                                    (void)apply_serve_mode(
-                                        serve_mode, burst,
-                                        &sc.config.stack);
-                                }
-                                if (!est_mode.empty()) {
-                                    (void)apply_estimator_mode(
-                                        est_mode, est_bias,
-                                        &sc.config.stack);
-                                }
-                                sc.config.trace.mean_interarrival_s =
-                                    spec.base.trace.mean_interarrival_s /
-                                    load;
-                                sc.config.stack.seed = seed;
-                                sc.config.trace.seed = seed;
-                                sc.name = scheduler + "/" + placement +
-                                          "/" + mode + "/" +
-                                          load_tag(load) + "/s" +
-                                          std::to_string(seed);
-                                if (fault_mode != "none")
-                                    sc.name += "+" + fault_mode;
-                                if (cap_w > 0) {
-                                    sc.name += strfmt("+%gkW-%s",
-                                                      cap_w / 1000.0,
-                                                      policy.c_str());
-                                }
-                                if (!serve_mode.empty()) {
-                                    sc.name +=
-                                        "+serve-" + serve_mode;
-                                    if (burst != 1.0) {
-                                        sc.name +=
-                                            strfmt("-b%g", burst);
-                                    }
-                                }
-                                if (!est_mode.empty()) {
-                                    sc.name += "+est-" + est_mode;
-                                    if (est_bias != 1.0) {
-                                        sc.name +=
-                                            strfmt("-x%g", est_bias);
-                                    }
-                                }
-                                out.push_back(std::move(sc));
-                            }
+    for (const Variant &variant : variants) {
+        for (const auto &scheduler : spec.schedulers) {
+            for (const auto &placement : spec.placements) {
+                for (const auto &mode : spec.preempt_modes) {
+                    for (double load : spec.loads) {
+                        for (uint64_t seed : spec.seeds) {
+                            SweepScenario sc;
+                            sc.config = variant.config;
+                            sc.config.stack.scheduler = scheduler;
+                            sc.config.stack.placement = placement;
+                            (void)apply_preempt_mode(mode,
+                                                     &sc.config.stack);
+                            sc.config.trace.mean_interarrival_s =
+                                spec.base.trace.mean_interarrival_s / load;
+                            sc.config.stack.seed = seed;
+                            sc.config.trace.seed = seed;
+                            sc.name = scheduler + "/" + placement + "/" +
+                                      mode + "/" + load_tag(load) + "/s" +
+                                      std::to_string(seed) +
+                                      variant.suffix;
+                            out.push_back(std::move(sc));
                         }
                     }
                 }
             }
         }
-    }
-    }
     }
     return out;
 }

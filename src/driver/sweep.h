@@ -64,13 +64,59 @@
  */
 #pragma once
 
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
 #include "core/scenario.h"
 
 namespace tacc::driver {
+
+/**
+ * Expands one off-collapsing axis pair in listed order: every entry of
+ * `axis` that `is_off` accepts collapses into one off point (nullopt,
+ * standing where the first off entry stands), and every other entry is
+ * crossed with each entry of `with`. The estimator, serve and power
+ * axes all follow this rule, so adding on-entries to a spec appends
+ * points without renaming the off point.
+ */
+template <typename A, typename B, typename IsOff>
+std::vector<std::optional<std::pair<A, B>>>
+collapse_off(const std::vector<A> &axis, const std::vector<B> &with,
+             IsOff is_off)
+{
+    std::vector<std::optional<std::pair<A, B>>> points;
+    bool have_off = false;
+    for (const A &entry : axis) {
+        if (!is_off(entry)) {
+            for (const B &second : with)
+                points.emplace_back(std::pair<A, B>(entry, second));
+        } else if (!have_off) {
+            points.emplace_back(std::nullopt);
+            have_off = true;
+        }
+    }
+    return points;
+}
+
+/** The off entries of the estimator, serve and power axes. */
+inline bool
+estimator_off(const std::string &mode)
+{
+    return mode == "limit";
+}
+inline bool
+serve_off(const std::string &mode)
+{
+    return mode == "off";
+}
+inline bool
+power_off(double cap_w)
+{
+    return cap_w <= 0;
+}
 
 /** The experiment grid; defaults describe a single reference run. */
 struct SweepSpec {
@@ -114,45 +160,22 @@ struct SweepSpec {
     size_t
     power_point_count() const
     {
-        size_t points = 0;
-        bool any_off = false;
-        for (double cap : power_caps) {
-            if (cap <= 0)
-                any_off = true;
-            else
-                points += power_policies.size();
-        }
-        return points + (any_off ? 1 : 0);
+        return collapse_off(power_caps, power_policies, power_off).size();
     }
 
     /** Expanded (mode, burst) points after the serving-off collapse. */
     size_t
     serve_point_count() const
     {
-        size_t points = 0;
-        bool any_off = false;
-        for (const auto &mode : serve_modes) {
-            if (mode == "off")
-                any_off = true;
-            else
-                points += bursts.size();
-        }
-        return points + (any_off ? 1 : 0);
+        return collapse_off(serve_modes, bursts, serve_off).size();
     }
 
     /** Expanded (mode, bias) points after the prediction-off collapse. */
     size_t
     predict_point_count() const
     {
-        size_t points = 0;
-        bool any_off = false;
-        for (const auto &mode : estimator_modes) {
-            if (mode == "limit")
-                any_off = true;
-            else
-                points += mispredict_bias.size();
-        }
-        return points + (any_off ? 1 : 0);
+        return collapse_off(estimator_modes, mispredict_bias, estimator_off)
+            .size();
     }
 
     size_t

@@ -2,10 +2,11 @@
  * @file
  * Configuration of the prediction subsystem.
  *
- * One switch (`enabled`) gates the whole layer: with it off, the stack
- * keeps the PR-8-era EMA estimator and every existing digest stays
- * byte-identical. With it on, `mode` picks the prediction authority the
- * schedulers see, and the remaining knobs shape the online model. All
+ * One switch (`enabled`) gates the layer. With it off, the runtime
+ * model is the plain per-(user, model) EMA at a fixed 1.25 safety and
+ * every other field here is ignored; the load forecasters stay idle.
+ * With it on, `mode` picks the prediction authority the schedulers
+ * see, and the remaining knobs shape the online model. All
  * four learning knobs register in the tune ParamSpace
  * (`predict.decay`, `predict.sample_floor`, `predict.safety_min/max`).
  */
@@ -17,10 +18,14 @@
 
 namespace tacc::predict {
 
-/** Which estimate the scheduling layer treats as authoritative. */
+/**
+ * Which estimate the scheduling layer treats as authoritative when
+ * prediction is enabled. Both learned modes key by (group, model); the
+ * disabled config's EMA keys by (user, model).
+ */
 enum class EstimatorMode {
-    kLimit,   ///< user time limit only (prediction-off baseline)
-    kEma,     ///< per-(user, model) EMA table (the T8 estimator)
+    kLimit,   ///< user time limit only
+    kEma,     ///< per-(group, model) EMA at a fixed 1.25 safety
     kRegress, ///< decayed regression with EMA + limit fallback
 };
 
@@ -29,7 +34,7 @@ StatusOr<EstimatorMode> parse_estimator_mode(const std::string &name);
 
 /** Knobs of the prediction layer (see file comment). */
 struct PredictConfig {
-    /** Master switch; off leaves every existing digest byte-identical. */
+    /** Master switch; off means the per-(user, model) EMA only. */
     bool enabled = false;
     EstimatorMode mode = EstimatorMode::kRegress;
 

@@ -2,12 +2,14 @@
  * @file
  * PredictionHub: the stack's single prediction authority.
  *
- * Owned by TaccStack when `predict.enabled`. It observes completions on
- * the existing metrics path (finalize), folds load series as the stack
- * runs, and serves every consumer:
+ * Every TaccStack owns one. It observes completions on the existing
+ * metrics path (finalize), folds load series as the stack runs, and
+ * serves every consumer:
  *
  *   - schedulers see the RuntimeModel through SchedulerContext::estimator
- *     (backfill reservations, SJF orderings, elastic shrink victims);
+ *     (backfill reservations, SJF orderings, elastic shrink victims) —
+ *     with `predict.enabled` off it is the per-(user, model) EMA, and
+ *     it is the stack's only runtime estimate either way;
  *   - the elastic scaler reads the backlog forecast to leave headroom
  *     for demand that is still arriving;
  *   - the serve autoscaler hands its measured arrival rate in and plans
@@ -41,7 +43,8 @@ class PredictionHub
     RuntimeModel &model() { return model_; }
     const RuntimeModel &model() const { return model_; }
 
-    /** Completion observed on the metrics path (stack finalize). */
+    /** Completion observed on the metrics path (stack finalize); the
+     *  forecasters below are fed only when `predict.enabled`. */
     void observe_completion(const workload::Job &job)
     {
         model_.observe(job);

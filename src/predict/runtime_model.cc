@@ -8,8 +8,23 @@ namespace tacc::predict {
 
 namespace {
 
-/** Fixed safety of the EMA fallback (matches the T8 estimator). */
+/** Fixed safety of the EMA estimate. */
 constexpr double kEmaSafety = 1.25;
+
+/** Per-iteration service-time sample a completed job contributes, or
+ *  < 0 when the job carries no usable signal. */
+double
+sample_of(const workload::Job &job)
+{
+    if (job.state() != workload::JobState::kCompleted)
+        return -1.0;
+    if (job.iterations_done() <= 0 || job.spec().gpus <= 0)
+        return -1.0;
+    // Realized wall service per iteration at the job's requested scale:
+    // GPU-seconds normalizes away elastic resizes and retries.
+    return job.gpu_seconds() / double(job.spec().gpus) /
+           double(job.iterations_done());
+}
 
 } // namespace
 
@@ -128,12 +143,9 @@ RuntimeModel::raw_predict_s(const KeyState &state,
 }
 
 void
-RuntimeModel::observe(const workload::Job &job)
+RuntimeModel::fold_regression(KeyState &state, const workload::Job &job,
+                              double per_iter) const
 {
-    const double per_iter = sample_of(job);
-    if (per_iter < 0)
-        return;
-    auto &state = keys_[key_of(job)];
     const double iters = double(job.iterations_done());
     const double gpus = double(job.spec().gpus);
     const double y = per_iter * iters; // wall service seconds
@@ -163,7 +175,17 @@ RuntimeModel::observe(const workload::Job &job)
     state.xty[0] += y;
     state.xty[1] += y * x1;
     state.xty[2] += y * x2;
+}
 
+void
+RuntimeModel::observe(const workload::Job &job)
+{
+    const double per_iter = sample_of(job);
+    if (per_iter < 0)
+        return;
+    auto &state = keys_[key_of(job)];
+    if (config_.enabled)
+        fold_regression(state, job, per_iter);
     if (state.count == 0)
         state.ema_per_iter_s = per_iter;
     else
@@ -171,30 +193,38 @@ RuntimeModel::observe(const workload::Job &job)
             0.3 * per_iter + 0.7 * state.ema_per_iter_s;
     ++state.count;
     ++observations_;
+}
 
-    // Keep the base EMA table fed too: consumers asking the base class
-    // (tools, estimated_start) see a consistent view.
-    sched::RuntimeEstimator::observe(job);
+const RuntimeModel::KeyState *
+RuntimeModel::history(const workload::Job &job) const
+{
+    if (config_.enabled && config_.mode == EstimatorMode::kLimit)
+        return nullptr;
+    const KeyState *state = find(job);
+    return state != nullptr && state->count > 0 ? state : nullptr;
 }
 
 bool
 RuntimeModel::has_history(const workload::Job &job) const
 {
-    if (config_.mode == EstimatorMode::kLimit)
-        return false;
-    const KeyState *state = find(job);
-    return state != nullptr && state->count > 0;
+    return history(job) != nullptr;
 }
 
 Duration
 RuntimeModel::predict(const workload::Job &job) const
 {
     const Duration limit = job.spec().time_limit;
-    if (config_.mode == EstimatorMode::kLimit)
+    const KeyState *state = history(job);
+    if (state == nullptr)
         return limit;
-    const KeyState *state = find(job);
-    if (state == nullptr || state->count == 0)
-        return limit;
+    if (!config_.enabled) {
+        // Prediction off: the EMA at the fixed safety, no bias.
+        return std::min(
+            Duration::from_seconds(state->ema_per_iter_s *
+                                   double(job.spec().iterations) *
+                                   kEmaSafety),
+            limit);
+    }
     const double raw = raw_predict_s(*state, job, job.spec().iterations);
     if (raw <= 0)
         return limit;
@@ -210,11 +240,17 @@ RuntimeModel::predict(const workload::Job &job) const
 Duration
 RuntimeModel::predict_remaining(const workload::Job &job) const
 {
-    if (config_.mode == EstimatorMode::kLimit)
-        return sched::RuntimeEstimator::predict_remaining(job);
-    const KeyState *state = find(job);
-    if (state == nullptr || state->count == 0)
-        return sched::RuntimeEstimator::predict_remaining(job);
+    const KeyState *state = history(job);
+    if (state == nullptr || !config_.enabled) {
+        // The remaining share of the whole-job estimate.
+        const double frac =
+            job.spec().iterations > 0
+                ? double(job.iterations_remaining()) /
+                      double(job.spec().iterations)
+                : 0.0;
+        return Duration::from_seconds(predict(job).to_seconds() *
+                                      std::clamp(frac, 0.0, 1.0));
+    }
     const double raw =
         raw_predict_s(*state, job, job.iterations_remaining());
     if (raw <= 0)

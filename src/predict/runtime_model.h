@@ -1,10 +1,14 @@
 /**
  * @file
- * Online decayed-regression runtime model (the prediction authority).
+ * Online runtime model: the stack's one runtime estimator.
  *
- * Upgrades the T8 EMA table to the scheme the related work centers on
- * (Sliwko: online models continuously retrained on completions drive
- * allocation). Per (group, model-template) key the model maintains
+ * Every stack owns one, whether prediction is on or off. A disabled
+ * PredictConfig is the T8 estimator: an EMA of per-iteration service
+ * time per (user, model) key at a fixed 1.25 safety, capped by the
+ * user limit, with every other knob ignored. An enabled config keys by
+ * (group, model) and upgrades that table to the scheme the related work
+ * centers on (Sliwko: online models continuously retrained on
+ * completions drive allocation). Per key the model maintains
  * recency-weighted least-squares sufficient statistics over the
  * features (1, iterations, iterations x gpus) with target per-job wall
  * service seconds; every completion decays old weight by (1 - decay) and adds
@@ -62,19 +66,20 @@ class ErrorQuantiles
 };
 
 /**
- * The scheduler-facing prediction authority. Derives from the sched
- * estimator interface so `SchedulerContext::estimator` can point at it
- * without the policy zoo changing.
+ * The scheduler-facing prediction authority: the one implementation of
+ * the sched estimator interface `SchedulerContext::estimator` points at.
  */
 class RuntimeModel : public sched::RuntimeEstimator
 {
   public:
     explicit RuntimeModel(const PredictConfig &config);
 
-    void observe(const workload::Job &job) override;
+    /** Folds a completed job; any other job carries no signal. */
+    void observe(const workload::Job &job);
     Duration predict(const workload::Job &job) const override;
     Duration predict_remaining(const workload::Job &job) const override;
-    bool has_history(const workload::Job &job) const override;
+    /** True if a prediction (not just the fallback) exists for the job. */
+    bool has_history(const workload::Job &job) const;
 
     /** Error quantiles of the job's (group, model) key. */
     double key_p50(const workload::Job &job) const;
@@ -91,20 +96,28 @@ class RuntimeModel : public sched::RuntimeEstimator
          *  row-major upper triangle), xty the 3-vector. */
         double xtx[6] = {0, 0, 0, 0, 0, 0};
         double xty[3] = {0, 0, 0};
-        /** Per-iteration EMA fallback (same fold as the T8 table). */
+        /** Per-iteration EMA (the whole estimate when disabled). */
         double ema_per_iter_s = 0;
         uint64_t count = 0;
         ErrorQuantiles errors;
     };
 
-    static uint64_t
-    key_of(const workload::Job &job)
+    /** Interned (user, model) ids packed into one word when disabled,
+     *  (group, model) when enabled. */
+    uint64_t
+    key_of(const workload::Job &job) const
     {
-        return uint64_t(uint32_t(job.group_id())) << 32 |
+        const int owner = config_.enabled ? job.group_id() : job.user_id();
+        return uint64_t(uint32_t(owner)) << 32 |
                uint64_t(uint32_t(job.model_id()));
     }
 
     const KeyState *find(const workload::Job &job) const;
+    /** The job's key state if it answers predictions, else nullptr. */
+    const KeyState *history(const workload::Job &job) const;
+    /** Folds a sample into the regression and its error ring. */
+    void fold_regression(KeyState &state, const workload::Job &job,
+                         double per_iter) const;
     /** Raw (unbiased, uncapped) prediction in seconds for `iterations`
      *  iterations of the job; < 0 when no usable history exists. */
     double raw_predict_s(const KeyState &state, const workload::Job &job,

@@ -1,114 +1,39 @@
 /**
  * @file
- * Online job-runtime estimation for the scheduling layer.
+ * The scheduler-facing runtime-estimate interface.
  *
  * The paper's scheduling layer conditions on "runtime characteristic:
  * expected duration" (Table 1). User-provided time limits overestimate
  * runtimes by 1.5-4x in practice, which makes backfill reservations
- * loose and SJF orderings wrong. The estimator learns per-(user, model)
- * service rates from completed jobs — the classic "predict from the
- * user's history" scheme (JVuPredict/3Sigma-style, simplified to an
- * exponential moving average of per-iteration service time).
- *
- * RuntimeEstimator is the scheduler-facing interface: `src/predict`
- * derives from it so the stack can swap the EMA table for the online
- * regression model without the policy zoo noticing.
+ * loose and SJF orderings wrong, so policies that want a tighter bound
+ * read it through this interface. Its one implementation is
+ * `predict::RuntimeModel`, which every stack owns and feeds with
+ * completions; the policy zoo sees only these two calls.
  */
 #pragma once
-
-#include <cstddef>
-#include <cstdint>
-#include <unordered_map>
 
 #include "common/time.h"
 #include "workload/job.h"
 
 namespace tacc::sched {
 
-/**
- * Estimator key: interned (user, model) ids packed into one word.
- * Jobs cache both ids at construction, so hot-path predict()/observe()
- * never allocates or hashes strings.
- */
-struct EstimatorKey {
-    uint64_t packed;
-
-    static EstimatorKey
-    of(const workload::Job &job)
-    {
-        return {uint64_t(uint32_t(job.user_id())) << 32 |
-                uint64_t(uint32_t(job.model_id()))};
-    }
-    bool operator==(const EstimatorKey &o) const
-    {
-        return packed == o.packed;
-    }
-};
-
-struct EstimatorKeyHash {
-    size_t
-    operator()(const EstimatorKey &k) const
-    {
-        // Fibonacci mix: interned ids are small and sequential, so the
-        // raw packed word would cluster in low buckets.
-        return size_t(k.packed * 0x9e3779b97f4a7c15ULL);
-    }
-};
-
-/** Learns per-(user, model) runtimes; falls back to the user limit. */
 class RuntimeEstimator
 {
   public:
-    /**
-     * @param safety_factor multiplier on the raw prediction (backfill
-     *        reservations must rarely under-run)
-     * @param ema_alpha weight of the newest observation
-     */
-    explicit RuntimeEstimator(double safety_factor = 1.25,
-                              double ema_alpha = 0.3);
     virtual ~RuntimeEstimator() = default;
-
-    /**
-     * Records a completed job: its realized service seconds per
-     * iteration become the newest sample for (user, model).
-     */
-    virtual void observe(const workload::Job &job);
 
     /**
      * Predicted total runtime of a job, never exceeding the user's time
      * limit (the system kills at the limit, so it is a hard bound).
-     * Without history for (user, model), returns the time limit.
+     * Without history for the job, returns the time limit.
      */
-    virtual Duration predict(const workload::Job &job) const;
+    virtual Duration predict(const workload::Job &job) const = 0;
 
     /**
      * Predicted time to finish the *remaining* iterations (elastic
      * shrink-victim selection wants residual work, not total runtime).
-     * Falls back to the remaining share of the time limit.
      */
-    virtual Duration predict_remaining(const workload::Job &job) const;
-
-    /** True if a prediction (not just the fallback) exists for the job. */
-    virtual bool has_history(const workload::Job &job) const;
-
-    size_t tracked_keys() const { return entries_.size(); }
-    uint64_t observations() const { return observations_; }
-
-  protected:
-    /** Per-iteration service-time sample a completed job contributes,
-     *  or < 0 when the job carries no usable signal. */
-    static double sample_of(const workload::Job &job);
-
-  private:
-    struct Entry {
-        double per_iter_s = 0;
-        uint64_t count = 0;
-    };
-
-    double safety_;
-    double alpha_;
-    uint64_t observations_ = 0;
-    std::unordered_map<EstimatorKey, Entry, EstimatorKeyHash> entries_;
+    virtual Duration predict_remaining(const workload::Job &job) const = 0;
 };
 
 } // namespace tacc::sched

@@ -40,6 +40,14 @@ struct ViewCase {
     bool streaming = false;
 };
 
+// gtest would otherwise print the case as its raw bytes (pointers
+// among them), and those bytes end up in the listed test names.
+void
+PrintTo(const ViewCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
 std::string
 case_name(const ::testing::TestParamInfo<ViewCase> &info)
 {
