@@ -20,6 +20,7 @@
  */
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -47,6 +48,7 @@ class NodeHealthTracker
         : states_(size_t(node_count), NodeHealth::kHealthy),
           epochs_(size_t(node_count), 0)
     {
+        counts_[size_t(NodeHealth::kHealthy)] = node_count;
     }
 
     int node_count() const { return int(states_.size()); }
@@ -62,7 +64,11 @@ class NodeHealthTracker
     }
 
     /** True when every node is Healthy (fast path: skip all masking). */
-    bool all_healthy() const { return unhealthy_ == 0; }
+    bool
+    all_healthy() const
+    {
+        return count(NodeHealth::kHealthy) == node_count();
+    }
 
     /**
      * Moves a node to a new state. Bumps the node's epoch so stale
@@ -79,13 +85,19 @@ class NodeHealthTracker
      *  (the scheduler's free-view mask) resync when it moves. */
     uint64_t version() const { return version_; }
 
-    int count(NodeHealth state) const;
-    int schedulable_count() const;
+    /** Nodes in a state; kept by set_state, O(1). */
+    int count(NodeHealth state) const { return counts_[size_t(state)]; }
+
+    int
+    schedulable_count() const
+    {
+        return count(NodeHealth::kHealthy) + count(NodeHealth::kDegraded);
+    }
 
   private:
     std::vector<NodeHealth> states_;
     std::vector<uint64_t> epochs_;
-    int unhealthy_ = 0; ///< nodes not Healthy (incl. Degraded)
+    std::array<int, 6> counts_{}; ///< nodes per state, by enum value
     uint64_t version_ = 0;
 };
 

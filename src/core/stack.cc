@@ -4,7 +4,7 @@
 #include <cassert>
 #include <cstdarg>
 #include <cstdio>
-#include <unordered_map>
+#include <numeric>
 
 #include "common/log.h"
 #include "core/digest.h"
@@ -123,41 +123,45 @@ TaccStack::wire_ops()
     ops_ = std::make_unique<ops::OpsCenter>(config_.ops);
     namespace series = ops::series;
 
-    // Gauges: live cluster state, read at each sample instant.
-    ops_->add_gauge_source(series::kGpuUtil, [this] {
+    // Gauges: live cluster state, read at each sample instant. The
+    // fragmentation gauge is a sample's one pass over the nodes; the
+    // health tracker keeps per-state counts, so its gauges need none.
+    ops_->add_gauge_source(series::kGpuUtil, [this](TimePoint) {
         const int total = cluster_.total_gpus();
         return total > 0 ? double(cluster_.used_gpus()) / double(total)
                          : 0.0;
     });
-    ops_->add_gauge_source(series::kFragmentation, [this] {
+    ops_->add_gauge_source(series::kFragmentation, [this](TimePoint) {
         return cluster_.occupancy().fragmentation;
     });
-    ops_->add_gauge_source(series::kQueueDepth,
-                           [this] { return double(pending_count()); });
-    ops_->add_gauge_source(series::kQueueOldestWait, [this] {
+    ops_->add_gauge_source(series::kQueueDepth, [this](TimePoint) {
+        return double(pending_count());
+    });
+    ops_->add_gauge_source(series::kQueueOldestWait, [this](TimePoint now) {
         const auto pending = views_.pending();
         if (pending.empty())
             return 0.0;
         // The pending view is in (submit time, id) order: front is oldest.
-        return (sim_.now() - pending.front()->submit_time()).to_seconds();
+        return (now - pending.front()->submit_time()).to_seconds();
     });
-    ops_->add_gauge_source(series::kRunningJobs,
-                           [this] { return double(running_count()); });
-    ops_->add_gauge_source(series::kCrossRackJobs, [this] {
+    ops_->add_gauge_source(series::kRunningJobs, [this](TimePoint) {
+        return double(running_count());
+    });
+    ops_->add_gauge_source(series::kCrossRackJobs, [this](TimePoint) {
         return double(engine_.cross_rack_jobs());
     });
-    ops_->add_gauge_source(series::kNodesHealthy, [this] {
+    ops_->add_gauge_source(series::kNodesHealthy, [this](TimePoint) {
         return double(
             cluster_.health().count(cluster::NodeHealth::kHealthy));
     });
-    ops_->add_gauge_source(series::kNodesDegraded, [this] {
+    ops_->add_gauge_source(series::kNodesDegraded, [this](TimePoint) {
         return double(
             cluster_.health().count(cluster::NodeHealth::kDegraded));
     });
-    ops_->add_gauge_source(series::kNodesDown, [this] {
+    ops_->add_gauge_source(series::kNodesDown, [this](TimePoint) {
         return double(cluster_.health().count(cluster::NodeHealth::kDown));
     });
-    ops_->add_gauge_source(series::kSchedulableCapacity, [this] {
+    ops_->add_gauge_source(series::kSchedulableCapacity, [this](TimePoint) {
         const int total = cluster_.total_gpus();
         return total > 0
                    ? double(cluster_.schedulable_total_gpus()) /
@@ -166,28 +170,28 @@ TaccStack::wire_ops()
     });
 
     // Counters: monotone totals; alert rules consume them as rates.
-    ops_->add_counter_source(series::kCompletedJobs, [this] {
+    ops_->add_counter_source(series::kCompletedJobs, [this](TimePoint) {
         return double(metrics_.completed_count());
     });
-    ops_->add_counter_source(series::kFailedJobs, [this] {
+    ops_->add_counter_source(series::kFailedJobs, [this](TimePoint) {
         return double(metrics_.failed_count());
     });
-    ops_->add_counter_source(series::kPreemptions, [this] {
+    ops_->add_counter_source(series::kPreemptions, [this](TimePoint) {
         return double(metrics_.preemptions());
     });
-    ops_->add_counter_source(series::kDeadlineMisses, [this] {
+    ops_->add_counter_source(series::kDeadlineMisses, [this](TimePoint) {
         return double(metrics_.deadline_missed_count());
     });
-    ops_->add_counter_source(series::kSegmentFailures, [this] {
+    ops_->add_counter_source(series::kSegmentFailures, [this](TimePoint) {
         return double(metrics_.segment_failures());
     });
-    ops_->add_counter_source(series::kNodeFaults, [this] {
+    ops_->add_counter_source(series::kNodeFaults, [this](TimePoint) {
         return double(metrics_.node_faults());
     });
-    ops_->add_counter_source(series::kFaultLostGpuSeconds, [this] {
+    ops_->add_counter_source(series::kFaultLostGpuSeconds, [this](TimePoint) {
         return metrics_.fault_lost_gpu_seconds();
     });
-    ops_->add_counter_source(series::kMonitorLines, [this] {
+    ops_->add_counter_source(series::kMonitorLines, [this](TimePoint) {
         return double(monitor_.total_emitted());
     });
 
@@ -197,20 +201,21 @@ TaccStack::wire_ops()
     // scheduling (the telemetry invariant the ops layer guarantees).
     if (power_) {
         ops_->add_gauge_source(series::kPowerDrawW,
-                               [this] { return power_->draw_w(); });
-        ops_->add_counter_source(series::kPowerEnergyKwh, [this] {
-            power_->advance(sim_.now());
-            return power_->energy_kwh();
-        });
-        ops_->add_counter_source(series::kPowerDeferrals, [this] {
+                               [this](TimePoint) { return power_->draw_w(); });
+        ops_->add_counter_source(series::kPowerEnergyKwh,
+                                 [this](TimePoint now) {
+                                     power_->advance(now);
+                                     return power_->energy_kwh();
+                                 });
+        ops_->add_counter_source(series::kPowerDeferrals, [this](TimePoint) {
             return double(power_->deferrals());
         });
-        ops_->add_counter_source(series::kPowerDvfsStarts, [this] {
+        ops_->add_counter_source(series::kPowerDvfsStarts, [this](TimePoint) {
             return double(power_->dvfs_starts());
         });
         const double cap = config_.power.cluster_cap_w;
         if (cap > 0) {
-            ops_->add_gauge_source(series::kPowerHeadroomW, [this] {
+            ops_->add_gauge_source(series::kPowerHeadroomW, [this](TimePoint) {
                 return power_->cluster_headroom_w();
             });
             ops::AlertRule breach;
@@ -244,35 +249,35 @@ TaccStack::wire_ops()
     // gauges, and the SLO-burn / shed-storm / breaker alert rules. All
     // sources read plane counters — observational, like everything here.
     if (serve_plane_) {
-        ops_->add_counter_source(series::kServeRequests, [this] {
+        ops_->add_counter_source(series::kServeRequests, [this](TimePoint) {
             return double(serve_plane_->counters().requests);
         });
-        ops_->add_counter_source(series::kServeGoodput, [this] {
+        ops_->add_counter_source(series::kServeGoodput, [this](TimePoint) {
             return double(serve_plane_->counters().ok);
         });
-        ops_->add_counter_source(series::kServeShed, [this] {
+        ops_->add_counter_source(series::kServeShed, [this](TimePoint) {
             return double(serve_plane_->counters().shed);
         });
-        ops_->add_counter_source(series::kServeDegraded, [this] {
+        ops_->add_counter_source(series::kServeDegraded, [this](TimePoint) {
             return double(serve_plane_->counters().degraded);
         });
-        ops_->add_counter_source(series::kServeRetries, [this] {
+        ops_->add_counter_source(series::kServeRetries, [this](TimePoint) {
             return double(serve_plane_->counters().retries);
         });
-        ops_->add_counter_source(series::kServeBreakerTrips, [this] {
+        ops_->add_counter_source(series::kServeBreakerTrips, [this](TimePoint) {
             return double(serve_plane_->counters().breaker_trips);
         });
-        ops_->add_gauge_source(series::kServeReplicasUp, [this] {
+        ops_->add_gauge_source(series::kServeReplicasUp, [this](TimePoint) {
             return double(serve_plane_->replicas_up());
         });
-        ops_->add_gauge_source(series::kServeQueueDepth, [this] {
+        ops_->add_gauge_source(series::kServeQueueDepth, [this](TimePoint) {
             return double(serve_plane_->queue_depth());
         });
         // Windowed attainment: in-SLO completions over resolved
         // requests since the previous sample (1.0 when idle).
         ops_->add_gauge_source(
             series::kSloAttainment,
-            [this, ok = uint64_t(0), done = uint64_t(0)]() mutable {
+            [this, ok = uint64_t(0), done = uint64_t(0)](TimePoint) mutable {
                 const auto &c = serve_plane_->counters();
                 const uint64_t now_ok = c.ok;
                 const uint64_t now_done = c.ok + c.late + c.dropped;
@@ -323,32 +328,43 @@ TaccStack::wire_ops()
         ops_->alerts().add_rule(std::move(slo_burn));
     }
 
-    // Per-tenant fair-share usage: one gauge per group, defined lazily
-    // as groups first appear (snapshot order is sorted -> deterministic).
-    // Each group's id is cached, so later samples build no series name.
+    // Per-tenant fair-share usage: one gauge per group. One pass over
+    // the tracker sums the total in its own order (bit-identical to
+    // total_usage) and keeps each group's usage by slot; the shares are
+    // then recorded through series ids cached by slot. Groups are given
+    // their series as they first appear, in name order.
     ops_->add_multi_source(
-        [this, share_ids = std::unordered_map<std::string, ops::SeriesId>()](
-            ops::OpsCenter &center, TimePoint now) mutable {
-            const double total = usage_.total_usage(now);
+        [this, ids = std::vector<ops::SeriesId>(),
+         used = std::vector<double>()](ops::OpsCenter &center,
+                                       TimePoint now) mutable {
+            used.resize(usage_.key_count());
+            const double total = usage_.for_each_usage(
+                now, [&used](size_t slot, double v) { used[slot] = v; });
             if (total <= 0)
                 return;
             ops::MetricStore &store = center.store();
-            for (const auto &[group, used] : usage_.snapshot(now)) {
-                auto it = share_ids.find(group);
-                if (it == share_ids.end()) {
-                    const ops::SeriesId id = store.define(
-                        std::string(ops::series::kGroupSharePrefix) + group,
+            if (ids.size() < used.size()) {
+                std::vector<size_t> fresh(used.size() - ids.size());
+                std::iota(fresh.begin(), fresh.end(), ids.size());
+                std::sort(fresh.begin(), fresh.end(),
+                          [this](size_t a, size_t b) {
+                              return usage_.key_at(a) < usage_.key_at(b);
+                          });
+                ids.resize(used.size());
+                for (const size_t slot : fresh) {
+                    ids[slot] = store.define(
+                        ops::series::kGroupSharePrefix + usage_.key_at(slot),
                         ops::SeriesKind::kGauge);
-                    it = share_ids.emplace(group, id).first;
                 }
-                store.record(it->second, now, used / total);
             }
+            for (size_t slot = 0; slot < used.size(); ++slot)
+                store.record(ids[slot], now, used[slot] / total);
         });
 
-    ops_tick_ = std::make_unique<sim::PeriodicTask>(
-        sim_, config_.ops.sample_period, "ops-sample",
-        [this] { ops_->sample(sim_.now()); });
-    ops_tick_->start();
+    // Sampled by the simulator's pre-fire watch: every sample_period,
+    // where a periodic task would fire, but with no event per sample.
+    sim_.set_watch(config_.ops.sample_period,
+                   [this](TimePoint now) { ops_->sample(now); });
 }
 
 TaccStack::~TaccStack() = default;
@@ -580,16 +596,15 @@ TaccStack::run_until(TimePoint t)
 bool
 TaccStack::run_to_completion(uint64_t max_events)
 {
-    uint64_t fired = 0;
-    while (!quiescent() && fired < max_events) {
+    const uint64_t first = sim_.processed();
+    while (!quiescent() && sim_.processed() - first < max_events) {
         if (!sim_.step())
             break;
-        ++fired;
     }
     if (tick_)
         tick_->stop();
-    if (ops_tick_) {
-        ops_tick_->stop();
+    if (ops_) {
+        sim_.clear_watch();
         // Close the books with a final sample at the quiesce instant so
         // the last partial rollup buckets and alert states are current.
         ops_->sample(sim_.now());

@@ -299,13 +299,15 @@ class TaccStack
      *  totals. Non-const: settles the plane's capacity accrual. */
     std::string serving_report();
 
-    /** Runs simulated time forward to t. */
+    /** Runs simulated time forward to t, ops samples due by t included. */
     void run_until(TimePoint t);
 
     /**
      * Runs until every submitted (and scheduled-to-arrive) job is
-     * terminal, or max_events fire (safety valve against unschedulable
-     * configurations).
+     * terminal, the event queue empties, or max_events fire (safety
+     * valve against unschedulable configurations). Ops samples are not
+     * events and do not count. With ops on, the run ends with one more
+     * sample at the instant it stopped.
      * @return true if the run quiesced.
      */
     bool run_to_completion(uint64_t max_events = 100'000'000);
@@ -379,7 +381,6 @@ class TaccStack
     /** Scratch for the flaky-node scoreboard's placement veto. */
     std::vector<uint8_t> node_filter_scratch_;
     std::unique_ptr<sim::PeriodicTask> tick_;
-    std::unique_ptr<sim::PeriodicTask> ops_tick_;
     cluster::JobId next_job_id_ = 1;
     uint64_t arrivals_outstanding_ = 0;
     /** @name Streaming arrivals (null/empty unless submit_stream ran) */

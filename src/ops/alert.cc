@@ -22,13 +22,32 @@ AlertEngine::add_rule(AlertRule rule)
     assert(!rule.for_duration.is_negative());
     rules_.push_back(std::move(rule));
     states_.emplace_back();
+    bound_store_ = nullptr; // bind the new rule at the next evaluation
+}
+
+void
+AlertEngine::bind(const MetricStore &store)
+{
+    if (bound_store_ == &store && bound_series_ == store.series_count())
+        return;
+    for (size_t i = 0; i < rules_.size(); ++i) {
+        RuleState &state = states_[i];
+        if (bound_store_ != &store) {
+            state.series = kInvalidSeries;
+            state.window_hint = {};
+        }
+        if (state.series == kInvalidSeries)
+            state.series = store.find(rules_[i].series);
+    }
+    bound_store_ = &store;
+    bound_series_ = store.series_count();
 }
 
 std::optional<double>
-AlertEngine::aggregate(const AlertRule &rule, const MetricStore &store,
-                       TimePoint now) const
+AlertEngine::aggregate(const AlertRule &rule, RuleState &state,
+                       const MetricStore &store, TimePoint now)
 {
-    const SeriesId id = store.find(rule.series);
+    const SeriesId id = state.series;
     if (id == kInvalidSeries)
         return std::nullopt;
     switch (rule.agg) {
@@ -38,16 +57,13 @@ AlertEngine::aggregate(const AlertRule &rule, const MetricStore &store,
             return std::nullopt;
         return sample->v;
       }
-      case AlertRule::Agg::kMean: {
+      case AlertRule::Agg::kMean:
         // No data in the window -> inert, not "mean of nothing is 0".
-        if (!store.has_data(id, now - rule.window, now))
-            return std::nullopt;
-        return store.mean_over(id, now, rule.window);
-      }
+        return store.mean_if_data(id, now, rule.window, &state.window_hint);
       case AlertRule::Agg::kRate: {
         if (!store.latest(id))
             return std::nullopt;
-        return store.rate_over(id, now, rule.window);
+        return store.rate_over(id, now, rule.window, &state.window_hint);
       }
     }
     return std::nullopt;
@@ -56,11 +72,12 @@ AlertEngine::aggregate(const AlertRule &rule, const MetricStore &store,
 void
 AlertEngine::evaluate(const MetricStore &store, TimePoint now)
 {
+    bind(store);
     for (size_t i = 0; i < rules_.size(); ++i) {
         const AlertRule &rule = rules_[i];
         RuleState &state = states_[i];
 
-        const auto value = aggregate(rule, store, now);
+        const auto value = aggregate(rule, state, store, now);
         const bool condition =
             value && (rule.cmp == AlertRule::Cmp::kAbove
                           ? *value > rule.threshold

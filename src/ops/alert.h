@@ -12,7 +12,9 @@
  * an AlertIncident, the raw material of the operator's incident timeline.
  *
  * Rules over series that do not exist yet (or hold no samples in the
- * aggregation window) are inert: no data never fires.
+ * aggregation window) are inert: no data never fires. A rule binds to
+ * its series' id once the series is defined, so steady-state evaluation
+ * does no name lookup.
  */
 #pragma once
 
@@ -77,7 +79,8 @@ class AlertEngine
 
     /**
      * Evaluates every rule at time now (must be non-decreasing across
-     * calls). Called once per collector sample.
+     * calls). Called once per collector sample. Rules bind to the
+     * store's series ids; evaluating a different store rebinds them.
      */
     void evaluate(const MetricStore &store, TimePoint now);
 
@@ -103,16 +106,27 @@ class AlertEngine
         /** Index into incidents_ of the active incident. */
         size_t incident = 0;
         double peak = 0;
+        /** The rule's series in the bound store, once defined. */
+        SeriesId series = kInvalidSeries;
+        /** Where the rule's window started at the last evaluation. */
+        MetricStore::WindowHint window_hint;
     };
 
+    /** Binds unbound rules to series defined since the last call. */
+    void bind(const MetricStore &store);
+
     /** Rule condition value at now; nullopt = no data (inert). */
-    std::optional<double> aggregate(const AlertRule &rule,
-                                    const MetricStore &store,
-                                    TimePoint now) const;
+    static std::optional<double> aggregate(const AlertRule &rule,
+                                           RuleState &state,
+                                           const MetricStore &store,
+                                           TimePoint now);
 
     std::vector<AlertRule> rules_;
     std::vector<RuleState> states_;
     std::vector<AlertIncident> incidents_;
+    /** The store the rules are bound to, and its series count then. */
+    const MetricStore *bound_store_ = nullptr;
+    size_t bound_series_ = 0;
 };
 
 } // namespace tacc::ops

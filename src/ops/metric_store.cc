@@ -49,14 +49,48 @@ count_prefix(const MetricRing<T> &ring, Pred pred)
     return lo;
 }
 
+/**
+ * count_prefix, trying `guess` first: the prefix length is the one n
+ * with pred true on entry n - 1 and false on entry n, so two compares
+ * confirm a right guess and a wrong one falls back to the search.
+ */
+template <typename T, typename Pred>
+size_t
+count_prefix(const MetricRing<T> &ring, Pred pred, size_t guess)
+{
+    const size_t n = ring.size();
+    if (guess <= n && (guess == 0 || pred(ring.at(guess - 1))) &&
+        (guess == n || !pred(ring.at(guess))))
+        return guess;
+    return count_prefix(ring, pred);
+}
+
+/** Retained raw samples at or before t; queries ending at the newest
+ *  sample (every alert evaluation) answer in one compare. */
+size_t
+raw_at_or_before(const MetricRing<MetricSample> &raw, TimePoint t,
+                 size_t guess)
+{
+    return count_prefix(
+        raw, [t](const MetricSample &x) { return x.t <= t; }, guess);
+}
+
+/** The raw-ring position a window hint guesses. */
+size_t
+hinted(const MetricRing<MetricSample> &raw,
+       const MetricStore::WindowHint *hint)
+{
+    return hint ? raw.size() - std::min(hint->newer, raw.size()) : 0;
+}
+
 /** Raw samples with t in [t0, t1]. */
 Window
-raw_window(const MetricRing<MetricSample> &raw, TimePoint t0, TimePoint t1)
+raw_window(const MetricRing<MetricSample> &raw, TimePoint t0, TimePoint t1,
+           size_t first_guess = 0)
 {
     const size_t first = count_prefix(
-        raw, [t0](const MetricSample &x) { return x.t < t0; });
-    const size_t last = count_prefix(
-        raw, [t1](const MetricSample &x) { return x.t <= t1; });
+        raw, [t0](const MetricSample &x) { return x.t < t0; }, first_guess);
+    const size_t last = raw_at_or_before(raw, t1, raw.size());
     return Window{first, std::max(first, last)};
 }
 
@@ -145,21 +179,21 @@ void
 MetricStore::fold(MetricRing<RollupPoint> &closed, RollupPoint &open,
                   bool &is_open, Duration bucket, TimePoint t, double v)
 {
-    const TimePoint start = bucket_start(t, bucket);
-    if (is_open && open.start != start) {
-        closed.push(open);
-        is_open = false;
-    }
-    if (!is_open) {
-        open = RollupPoint{start, v, v, v, v, 1};
-        is_open = true;
+    // Samples arrive in time order, so one before the open bucket's end
+    // belongs to it: the bucket start (a division) is computed only
+    // when a new bucket opens.
+    if (is_open && t < open.start + bucket) {
+        open.min = std::min(open.min, v);
+        open.max = std::max(open.max, v);
+        open.sum += v;
+        open.last = v;
+        ++open.count;
         return;
     }
-    open.min = std::min(open.min, v);
-    open.max = std::max(open.max, v);
-    open.sum += v;
-    open.last = v;
-    ++open.count;
+    if (is_open)
+        closed.push(open);
+    open = RollupPoint{bucket_start(t, bucket), v, v, v, v, 1};
+    is_open = true;
 }
 
 void
@@ -167,6 +201,7 @@ MetricStore::record(SeriesId id, TimePoint t, double v)
 {
     assert(id >= 0 && size_t(id) < series_.size());
     Series &s = series_[size_t(id)];
+    assert(t >= TimePoint::origin());
     assert(s.raw.empty() || t >= s.raw.back().t);
     s.raw.push(MetricSample{t, v});
     fold(s.minutes, s.open_minute, s.minute_open, kMinute, t, v);
@@ -248,40 +283,56 @@ MetricStore::percentile_over(SeriesId id, TimePoint end, Duration window,
 double
 MetricStore::mean_over(SeriesId id, TimePoint end, Duration window) const
 {
+    return mean_if_data(id, end, window).value_or(0.0);
+}
+
+std::optional<double>
+MetricStore::mean_if_data(SeriesId id, TimePoint end, Duration window,
+                          WindowHint *hint) const
+{
     const Series &s = series_at(id);
     const TimePoint t0 = end - window;
+    auto minute_data = [&s, t0, end] {
+        return !rollup_window(s.minutes, kMinute, t0, end).empty() ||
+               (s.minute_open &&
+                bucket_intersects(s.open_minute, kMinute, t0, end));
+    };
     // Raw first; if the raw ring's oldest retained sample post-dates the
     // window start, widen via the minute rollups (closed, then the open
     // bucket) so the answer still covers it.
-    double sum = 0;
-    uint64_t count = 0;
     const bool raw_covers = !s.raw.empty() && s.raw.at(0).t <= t0;
     if (raw_covers || (s.minutes.empty() && !s.minute_open)) {
-        const Window w = raw_window(s.raw, t0, end);
+        const Window w = raw_window(s.raw, t0, end, hinted(s.raw, hint));
+        if (hint)
+            hint->newer = s.raw.size() - w.first;
+        if (w.empty())
+            return minute_data() ? std::optional<double>(0.0) : std::nullopt;
+        double sum = 0;
         for (size_t i = w.first; i < w.last; ++i)
             sum += s.raw.at(i).v;
-        count = w.size();
-    } else {
-        const Window w = rollup_window(s.minutes, kMinute, t0, end);
-        for (size_t i = w.first; i < w.last; ++i) {
-            sum += s.minutes.at(i).sum;
-            count += s.minutes.at(i).count;
-        }
-        if (s.minute_open &&
-            bucket_intersects(s.open_minute, kMinute, t0, end)) {
-            sum += s.open_minute.sum;
-            count += s.open_minute.count;
-        }
+        return sum / double(w.size());
     }
-    return count ? sum / double(count) : 0.0;
+    double sum = 0;
+    uint64_t count = 0;
+    const Window w = rollup_window(s.minutes, kMinute, t0, end);
+    for (size_t i = w.first; i < w.last; ++i) {
+        sum += s.minutes.at(i).sum;
+        count += s.minutes.at(i).count;
+    }
+    if (s.minute_open && bucket_intersects(s.open_minute, kMinute, t0, end)) {
+        sum += s.open_minute.sum;
+        count += s.open_minute.count;
+    }
+    if (count)
+        return sum / double(count);
+    // No bucket in the window; a raw sample in it still counts as data.
+    return raw_window(s.raw, t0, end).empty() ? std::nullopt
+                                              : std::optional<double>(0.0);
 }
 
 std::optional<MetricSample>
-MetricStore::value_at_or_before(const Series &s, TimePoint t) const
+MetricStore::value_at_or_before(const Series &s, TimePoint t, size_t raw)
 {
-    // Newest raw sample at or before t.
-    const size_t raw = count_prefix(
-        s.raw, [t](const MetricSample &x) { return x.t <= t; });
     if (raw > 0)
         return s.raw.at(raw - 1);
     // Raw ring starts after t: fall back to the newest closed rollup
@@ -302,15 +353,20 @@ MetricStore::value_at_or_before(const Series &s, TimePoint t) const
 }
 
 double
-MetricStore::rate_over(SeriesId id, TimePoint end, Duration window) const
+MetricStore::rate_over(SeriesId id, TimePoint end, Duration window,
+                       WindowHint *hint) const
 {
     assert(!window.is_zero() && !window.is_negative());
     const Series &s = series_at(id);
-    const auto newest = value_at_or_before(s, end);
+    const auto newest =
+        value_at_or_before(s, end, raw_at_or_before(s.raw, end, s.raw.size()));
     if (!newest)
         return 0.0;
     const TimePoint t0 = end - window;
-    auto oldest = value_at_or_before(s, t0);
+    const size_t before = raw_at_or_before(s.raw, t0, hinted(s.raw, hint));
+    if (hint)
+        hint->newer = s.raw.size() - before;
+    auto oldest = value_at_or_before(s, t0, before);
     if (!oldest) {
         // Counter born inside the window: treat its first retained
         // observation as the window-start value.

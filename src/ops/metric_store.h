@@ -11,8 +11,9 @@
  * series, not by how long the cluster has been running — the property an
  * always-on operations daemon needs.
  *
- * Timestamps within one series must be non-decreasing (the collectors
- * sample on a periodic simulator task, so this holds by construction).
+ * Timestamps within one series must be non-negative and non-decreasing
+ * (the collectors sample simulated time forward from the origin, so this
+ * holds by construction).
  */
 #pragma once
 
@@ -82,7 +83,8 @@ class MetricRing
             data_.push_back(x);
         } else {
             data_[head_] = x;
-            head_ = (head_ + 1) % capacity_;
+            if (++head_ == capacity_)
+                head_ = 0;
         }
     }
 
@@ -90,11 +92,13 @@ class MetricRing
     size_t capacity() const { return capacity_; }
     bool empty() const { return data_.empty(); }
 
-    /** i-th element, oldest first. */
+    /** i-th element, oldest first (i < size()). */
     const T &
     at(size_t i) const
     {
-        return data_[(head_ + i) % data_.size()];
+        // head_ + i < 2 * size(): one wrap at most, no division.
+        const size_t j = head_ + i;
+        return data_[j < data_.size() ? j : j - data_.size()];
     }
 
     const T &back() const { return at(size() - 1); }
@@ -150,10 +154,21 @@ class MetricStore
 
     /**
      * True if any raw sample lies in [t0, t1] or any closed or open
-     * minute bucket intersects it. Allocates nothing: the alert engine's
-     * no-data test for windowed means.
+     * minute bucket intersects it. Allocates nothing.
      */
     bool has_data(SeriesId id, TimePoint t0, TimePoint t1) const;
+
+    /**
+     * Where a repeated windowed query's start fell in the raw ring: the
+     * number of retained samples newer than it. A caller asking about
+     * one series once per sample keeps a hint per query: the start then
+     * sits the same distance from the newest sample, which one compare
+     * confirms. A stale or wrong hint only costs the binary search, so
+     * results never depend on it.
+     */
+    struct WindowHint {
+        size_t newer = 0;
+    };
 
     /**
      * Exact percentile (linear interpolation) over the raw samples in
@@ -170,12 +185,22 @@ class MetricStore
     double mean_over(SeriesId id, TimePoint end, Duration window) const;
 
     /**
+     * mean_over, or nullopt when has_data(end - window, end) is false:
+     * the alert engine's windowed mean with its no-data test, from one
+     * window search.
+     */
+    std::optional<double> mean_if_data(SeriesId id, TimePoint end,
+                                       Duration window,
+                                       WindowHint *hint = nullptr) const;
+
+    /**
      * Per-second increase of a counter over [end - window, end]:
      * (value at end - value at window start) / window. Uses rollup
      * `last` values when the raw ring no longer covers the window.
      * Returns 0 with fewer than two observations in range.
      */
-    double rate_over(SeriesId id, TimePoint end, Duration window) const;
+    double rate_over(SeriesId id, TimePoint end, Duration window,
+                     WindowHint *hint = nullptr) const;
 
     /**
      * Bytes reserved by all ring buffers. Constant once every series is
@@ -209,9 +234,12 @@ class MetricStore
     static void fold(MetricRing<RollupPoint> &closed, RollupPoint &open,
                      bool &is_open, Duration bucket, TimePoint t, double v);
 
-    /** Newest observation at or before t (raw, then rollup `last`). */
-    std::optional<MetricSample> value_at_or_before(const Series &s,
-                                                   TimePoint t) const;
+    /**
+     * Newest observation at or before t (raw, then rollup `last`);
+     * `raw` is the number of retained raw samples at or before t.
+     */
+    static std::optional<MetricSample>
+    value_at_or_before(const Series &s, TimePoint t, size_t raw);
 
     MetricStoreConfig config_;
     std::vector<Series> series_;

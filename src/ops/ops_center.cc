@@ -130,8 +130,7 @@ OpsCenter::OpsCenter(OpsConfig config)
 }
 
 void
-OpsCenter::add_gauge_source(const std::string &name,
-                            std::function<double()> fn)
+OpsCenter::add_gauge_source(const std::string &name, SourceFn fn)
 {
     assert(fn);
     sources_.push_back(
@@ -139,8 +138,7 @@ OpsCenter::add_gauge_source(const std::string &name,
 }
 
 void
-OpsCenter::add_counter_source(const std::string &name,
-                              std::function<double()> fn)
+OpsCenter::add_counter_source(const std::string &name, SourceFn fn)
 {
     assert(fn);
     sources_.push_back(
@@ -165,7 +163,7 @@ void
 OpsCenter::sample(TimePoint now)
 {
     for (const auto &source : sources_)
-        store_.record(source.id, now, source.fn());
+        store_.record(source.id, now, source.fn(now));
     for (const auto &fn : multi_sources_)
         fn(*this, now);
     alerts_.evaluate(store_, now);

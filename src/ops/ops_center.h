@@ -6,7 +6,8 @@
  * and runs the pull-based collection cycle: higher layers register
  * sample *sources* (closures reading live cluster state — GPU
  * utilization, queue depth, usage shares, failure counters) and the
- * embedding stack drives sample() from a periodic simulator task. One
+ * embedding stack drives sample() from the simulator's pre-fire watch
+ * (sim::Simulator::set_watch) at every sample instant. One
  * sample() pass polls every source into the store, then evaluates the
  * alert rules — so collection is strictly observational: it never
  * mutates scheduler or cluster state and never perturbs event ordering.
@@ -104,12 +105,16 @@ class OpsCenter
     Accountant &accounting() { return accounting_; }
     const Accountant &accounting() const { return accounting_; }
 
+    /**
+     * A source's value at the sample instant it is passed; sources that
+     * read the clock must use that instant.
+     */
+    using SourceFn = std::function<double(TimePoint)>;
+
     /** @name Source registration (done once, at stack wiring time) */
     ///@{
-    void add_gauge_source(const std::string &name,
-                          std::function<double()> fn);
-    void add_counter_source(const std::string &name,
-                            std::function<double()> fn);
+    void add_gauge_source(const std::string &name, SourceFn fn);
+    void add_counter_source(const std::string &name, SourceFn fn);
     /**
      * A source producing a *set* of gauges per sample (e.g. one share
      * per tenant group); it calls record_gauge for each.
@@ -123,7 +128,7 @@ class OpsCenter
 
     /**
      * One collection cycle: polls every source at time now, then
-     * evaluates the alert rules. Driven by the stack's periodic task;
+     * evaluates the alert rules. Driven by the stack's sample watch;
      * now must be non-decreasing.
      */
     void sample(TimePoint now);
@@ -133,7 +138,7 @@ class OpsCenter
   private:
     struct Source {
         SeriesId id;
-        std::function<double()> fn;
+        SourceFn fn;
     };
 
     OpsConfig config_;

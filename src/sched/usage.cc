@@ -1,6 +1,5 @@
 #include "sched/usage.h"
 
-#include <algorithm>
 #include <cassert>
 #include <cmath>
 
@@ -25,7 +24,12 @@ UsageTracker::charge(const std::string &key, double gpu_seconds,
                      TimePoint now)
 {
     assert(gpu_seconds >= 0);
-    auto &entry = entries_[key];
+    auto [it, inserted] = entries_.try_emplace(key);
+    Entry &entry = it->second;
+    if (inserted) {
+        entry.slot = uint32_t(keys_.size());
+        keys_.push_back(&it->first);
+    }
     entry.value = decayed(entry, now) + gpu_seconds;
     entry.updated = now;
     total_cache_valid_ = false;
@@ -43,24 +47,10 @@ UsageTracker::total_usage(TimePoint now) const
 {
     if (total_cache_valid_ && total_cached_at_ == now)
         return total_cached_;
-    double total = 0;
-    for (const auto &[key, entry] : entries_)
-        total += decayed(entry, now);
+    total_cached_ = for_each_usage(now, [](size_t, double) {});
     total_cached_at_ = now;
-    total_cached_ = total;
     total_cache_valid_ = true;
-    return total;
-}
-
-std::vector<std::pair<std::string, double>>
-UsageTracker::snapshot(TimePoint now) const
-{
-    std::vector<std::pair<std::string, double>> out;
-    out.reserve(entries_.size());
-    for (const auto &[key, entry] : entries_)
-        out.emplace_back(key, decayed(entry, now));
-    std::sort(out.begin(), out.end());
-    return out;
+    return total_cached_;
 }
 
 double

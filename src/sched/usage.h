@@ -9,9 +9,9 @@
  */
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "common/time.h"
@@ -50,23 +50,41 @@ class UsageTracker
     size_t key_count() const { return entries_.size(); }
 
     /**
-     * Decayed usage of every key as of now, sorted by key — the
-     * deterministic view the ops collectors and accounting reports
-     * iterate.
+     * Walks every key's decayed usage as of now, calling fn(slot, usage),
+     * and returns their sum: the walk total_usage makes, so the sum is
+     * bit-identical to it. A key's slot is its index in first-charge
+     * order, stable for the tracker's lifetime (see key_at); the walk's
+     * own order is the hash table's and is not.
      */
-    std::vector<std::pair<std::string, double>> snapshot(TimePoint now)
-        const;
+    template <typename Fn>
+    double
+    for_each_usage(TimePoint now, Fn &&fn) const
+    {
+        double total = 0;
+        for (const auto &[key, entry] : entries_) {
+            const double used = decayed(entry, now);
+            total += used;
+            fn(size_t(entry.slot), used);
+        }
+        return total;
+    }
+
+    /** Key of a slot (< key_count()). */
+    const std::string &key_at(size_t slot) const { return *keys_[slot]; }
 
   private:
     struct Entry {
         double value = 0;
         TimePoint updated;
+        uint32_t slot = 0;
     };
 
     double decayed(const Entry &e, TimePoint now) const;
 
     Duration half_life_;
     std::unordered_map<std::string, Entry> entries_;
+    /** Keys by slot; the map's nodes never move, so neither do these. */
+    std::vector<const std::string *> keys_;
     /** Memoized total_usage(now); invalidated by charge(). */
     mutable TimePoint total_cached_at_;
     mutable double total_cached_ = 0;

@@ -206,6 +206,39 @@ Simulator::next_event_time() const
                          : TimePoint::from_micros(heap_.front().t_us);
 }
 
+void
+Simulator::set_watch(Duration period, WatchFn fn)
+{
+    assert(!period.is_zero() && !period.is_negative() && fn);
+    // Armed like PeriodicTask::start(): one period out, ordered after
+    // every event scheduled so far.
+    watch_ = QueueEntry{(now_ + period).to_micros(), next_seq_, 0};
+    watch_period_us_ = period.to_micros();
+    watch_fn_ = std::move(fn);
+}
+
+void
+Simulator::clear_watch()
+{
+    watch_ = kNoWatch;
+    watch_fn_ = nullptr;
+}
+
+void
+Simulator::run_watch()
+{
+    now_ = TimePoint::from_micros(watch_.t_us);
+    [[maybe_unused]] const uint64_t seq = next_seq_;
+    [[maybe_unused]] const size_t live = live_count_;
+    watch_fn_(now_);
+    assert(next_seq_ == seq && live_count_ == live &&
+           "the watch must not schedule or cancel events");
+    // Re-armed as PeriodicTask re-arms after its callback: ordered
+    // after every event scheduled so far.
+    watch_.t_us += watch_period_us_;
+    watch_.seq = next_seq_;
+}
+
 bool
 Simulator::step()
 {
@@ -213,6 +246,10 @@ Simulator::step()
     if (heap_.empty())
         return false;
     const QueueEntry entry = heap_.front();
+    if (!fires_before(entry, watch_)) {
+        run_watch();
+        return true;
+    }
     heap_pop();
     Slot &slot = slots_[slot_of(entry.id)];
     assert(slot.generation == generation_of(entry.id));
@@ -256,6 +293,7 @@ Simulator::reset()
     next_seq_ = 0;
     processed_ = 0;
     live_count_ = 0;
+    clear_watch();
 }
 
 void
@@ -300,6 +338,8 @@ Simulator::run_until(TimePoint t)
             break;
         step();
     }
+    while (watch_fn_ && watch_.t_us <= t.to_micros())
+        run_watch();
     now_ = t;
 }
 

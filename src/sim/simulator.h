@@ -26,6 +26,22 @@
  * next_event_time() may perform; the heap is declared mutable for exactly
  * this reason. Observable state (now(), pending(), processed(), event
  * ordering) is never affected by when the stale entries are drained.
+ *
+ * ## The pre-fire watch
+ *
+ * A periodic observer (the ops sampler) needs no queue entry:
+ * set_watch() installs one callback owed at now()+period, now()+2·period,
+ * ... that the engine runs before the first event ordered after the due
+ * instant, exactly where a PeriodicTask started at the same moment would
+ * have fired. The watch keeps the due instant and the sequence number
+ * the task's event would have been armed with, so same-instant ties
+ * resolve as before: an event at the due instant runs first iff it was
+ * scheduled before the watch was (re-)armed. Checking costs one compare
+ * per step. A due instant is a step of its own, so a caller that looks
+ * at the clock between steps still passes through every instant, but it
+ * is not an event: processed(), pending() and next_event_time() ignore
+ * the watch, and once the queue empties step() stops instead of
+ * spinning on samples.
  */
 #pragma once
 
@@ -48,6 +64,9 @@ using EventId = uint64_t;
 
 /** Callback invoked when an event fires. */
 using EventFn = std::function<void()>;
+
+/** Pre-fire watch callback; receives the due instant (== now()). */
+using WatchFn = std::function<void(TimePoint)>;
 
 /**
  * One future event of a bulk schedule (see Simulator::schedule_batch).
@@ -112,10 +131,23 @@ class Simulator
     void run_until(TimePoint t);
 
     /**
-     * Fires the single earliest pending event.
-     * @return false if the queue was empty.
+     * Fires the single earliest pending event, or, when a watch instant
+     * is ordered before it, runs that instant instead (the event waits
+     * for a later step).
+     * @return false if the queue was empty (no watch instant runs then).
      */
     bool step();
+
+    /**
+     * Installs the pre-fire watch (see the file header), replacing any
+     * previous one: fn runs at now()+period, now()+2·period, ... with the
+     * clock moved to each instant. run_until(t) runs every instant <= t.
+     * fn must only observe: it may neither schedule nor cancel events.
+     */
+    void set_watch(Duration period, WatchFn fn);
+
+    /** Removes the watch; no instant runs from now on. */
+    void clear_watch();
 
     /** Number of events still pending. */
     size_t pending() const { return live_count_; }
@@ -173,6 +205,9 @@ class Simulator
     static uint32_t slot_of(EventId id) { return uint32_t(id) - 1; }
     static uint32_t generation_of(EventId id) { return uint32_t(id >> 32); }
 
+    /** Runs the watch's due instant and re-arms it. */
+    void run_watch();
+
     bool is_live(EventId id) const;
     uint32_t acquire_slot();
     void release_slot(uint32_t slot);
@@ -227,6 +262,12 @@ class Simulator
     mutable std::vector<QueueEntry> heap_;
     std::vector<Slot> slots_;
     std::vector<uint32_t> free_;
+    /** The watch's next instant and arm sequence, ordered like an event;
+     *  kNoWatch (after every event) when none is installed. */
+    static constexpr QueueEntry kNoWatch = {INT64_MAX, UINT64_MAX, 0};
+    QueueEntry watch_ = kNoWatch;
+    int64_t watch_period_us_ = 0;
+    WatchFn watch_fn_;
 };
 
 /**

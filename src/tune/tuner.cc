@@ -472,8 +472,11 @@ best_config_text(const TuneSpec &spec, const TuneResult &result)
     for (const auto &mix : spec.mixes)
         mixes += (mixes.empty() ? "" : ",") + mix;
     std::string seeds;
-    for (uint64_t seed : spec.eval_seeds)
-        seeds += (seeds.empty() ? "" : ",") + std::to_string(seed);
+    for (uint64_t seed : spec.eval_seeds) {
+        if (!seeds.empty())
+            seeds += ",";
+        seeds += std::to_string(seed);
+    }
     out += "# mixes: " + mixes + "  eval_seeds: " + seeds + "\n";
     const double gain =
         result.default_objective > 0

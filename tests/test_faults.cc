@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "cluster/health.h"
+#include "common/rng.h"
 #include "core/fault_domain.h"
 #include "core/scenario.h"
 #include "core/stack.h"
@@ -76,6 +77,26 @@ TEST(FaultHealth, TrackerTransitionsAndCounts)
     tracker.set_state(1, NodeHealth::kHealthy);
     EXPECT_TRUE(tracker.all_healthy());
     EXPECT_EQ(tracker.schedulable_count(), 4);
+}
+
+// The per-state counts are kept on transitions; they must always equal
+// a scan of the states, repeated and self transitions included.
+TEST(FaultHealth, KeptCountsMatchScanUnderRandomTransitions)
+{
+    constexpr int kNodes = 7;
+    cluster::NodeHealthTracker tracker(kNodes);
+    Rng rng(7);
+    for (int step = 0; step < 2000; ++step) {
+        tracker.set_state(cluster::NodeId(rng.uniform_int(0, kNodes - 1)),
+                          NodeHealth(rng.uniform_int(0, 5)));
+        int scanned[6] = {};
+        for (int n = 0; n < kNodes; ++n)
+            ++scanned[int(tracker.state(cluster::NodeId(n)))];
+        for (int s = 0; s < 6; ++s)
+            ASSERT_EQ(tracker.count(NodeHealth(s)), scanned[s]);
+        EXPECT_EQ(tracker.all_healthy(), scanned[0] == kNodes);
+        EXPECT_EQ(tracker.schedulable_count(), scanned[0] + scanned[1]);
+    }
 }
 
 TEST(FaultHealth, FreeViewMasksUnschedulableNodes)

@@ -134,6 +134,66 @@ TEST(AlertEngine, MissingSeriesAndEmptyWindowsAreInert)
     EXPECT_TRUE(engine.incidents().empty());
 }
 
+// Rules bind to series ids once the series exists: a rule whose series
+// is defined after the rule (group shares and serving attainment appear
+// mid-run) stays inert until then and fires afterwards; evaluating a
+// second store rebinds every rule to that store's ids.
+TEST(AlertEngine, RuleOverLaterSeriesBindsOnceDefined)
+{
+    MetricStore store;
+    AlertEngine engine;
+    AlertRule share = above_rule(0.5, 2_min);
+    share.name = "share";
+    share.series = "group.share.lab";
+    engine.add_rule(share);
+    AlertRule slo = above_rule(0.9, 0_s);
+    slo.name = "slo";
+    slo.series = "serve.slo_attainment";
+    slo.agg = AlertRule::Agg::kMean;
+    slo.cmp = AlertRule::Cmp::kBelow;
+    slo.window = 10_min;
+    engine.add_rule(slo);
+
+    const SeriesId g = store.define("g", SeriesKind::kGauge);
+    int minute = 0;
+    for (; minute < 10; ++minute) {
+        store.record(g, at(60.0 * minute), 1.0);
+        engine.evaluate(store, at(60.0 * minute));
+    }
+    EXPECT_TRUE(engine.incidents().empty());
+
+    const SeriesId lab = store.define("group.share.lab", SeriesKind::kGauge);
+    const SeriesId att =
+        store.define("serve.slo_attainment", SeriesKind::kGauge);
+    for (; minute < 14; ++minute) {
+        store.record(g, at(60.0 * minute), 1.0);
+        store.record(lab, at(60.0 * minute), 0.75);
+        store.record(att, at(60.0 * minute), 0.5);
+        engine.evaluate(store, at(60.0 * minute));
+    }
+    EXPECT_TRUE(engine.is_firing("share"));
+    EXPECT_TRUE(engine.is_firing("slo"));
+    ASSERT_EQ(engine.incidents().size(), 2u);
+    EXPECT_EQ(engine.incidents()[0].rule, "slo");
+    EXPECT_EQ(engine.incidents()[0].fired_at, at(600));
+    EXPECT_EQ(engine.incidents()[1].rule, "share");
+    EXPECT_EQ(engine.incidents()[1].fired_at, at(720));
+
+    // Same names, other ids: the rules must follow the names.
+    MetricStore other;
+    const SeriesId other_att =
+        other.define("serve.slo_attainment", SeriesKind::kGauge);
+    const SeriesId other_lab =
+        other.define("group.share.lab", SeriesKind::kGauge);
+    for (; minute < 20; ++minute) {
+        other.record(other_att, at(60.0 * minute), 1.0);
+        other.record(other_lab, at(60.0 * minute), 0.1);
+        engine.evaluate(other, at(60.0 * minute));
+    }
+    EXPECT_FALSE(engine.is_firing("share"));
+    EXPECT_FALSE(engine.is_firing("slo"));
+}
+
 TEST(AlertEngine, BurnRateRuleFiresOnCounterSlope)
 {
     MetricStore store;

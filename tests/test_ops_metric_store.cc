@@ -243,6 +243,28 @@ TEST(MetricStore, MemoryIsBoundedAcrossSimulatedDays)
 }
 
 /**
+ * The reference's ring: every entry ever pushed, the newest `capacity` of
+ * them retained, indexed from the full history rather than by
+ * MetricRing's wrap arithmetic.
+ */
+template <typename T>
+class HistoryRing
+{
+  public:
+    explicit HistoryRing(size_t capacity) : capacity_(capacity) {}
+
+    void push(const T &x) { all_.push_back(x); }
+    size_t size() const { return std::min(all_.size(), capacity_); }
+    size_t capacity() const { return capacity_; }
+    bool empty() const { return all_.empty(); }
+    const T &at(size_t i) const { return all_[all_.size() - size() + i]; }
+
+  private:
+    size_t capacity_;
+    std::vector<T> all_;
+};
+
+/**
  * Reference model of one series: the store's three rings rebuilt from the
  * same samples, queried by scanning every retained entry (the store's
  * algorithm before its window lookups became binary searches). The store
@@ -275,6 +297,14 @@ class FullScanSeries
                closed_hours_ > hours_.capacity();
     }
 
+    /** True once the raw and minute rings have each wrapped 3 times. */
+    bool
+    wrapped_thrice() const
+    {
+        return samples_ >= 4 * raw_.capacity() &&
+               closed_minutes_ >= 4 * minutes_.capacity();
+    }
+
     std::vector<RollupPoint>
     range(TimePoint t0, TimePoint t1, Resolution res) const
     {
@@ -291,7 +321,7 @@ class FullScanSeries
         }
         const bool minute = res == Resolution::kMinute;
         const Duration width = minute ? 1_min : 1_h;
-        const MetricRing<RollupPoint> &ring = minute ? minutes_ : hours_;
+        const HistoryRing<RollupPoint> &ring = minute ? minutes_ : hours_;
         const RollupPoint &open = minute ? open_minute_ : open_hour_;
         const bool is_open = minute ? minute_open_ : hour_open_;
         for (size_t i = 0; i < ring.size(); ++i) {
@@ -376,7 +406,7 @@ class FullScanSeries
 
   private:
     void
-    fold(MetricRing<RollupPoint> &closed, RollupPoint &open, bool &is_open,
+    fold(HistoryRing<RollupPoint> &closed, RollupPoint &open, bool &is_open,
          Duration bucket, TimePoint t, double v)
     {
         const int64_t w = bucket.to_micros();
@@ -407,7 +437,7 @@ class FullScanSeries
             if (sample.t <= t)
                 return sample;
         }
-        auto scan = [&](const MetricRing<RollupPoint> &ring,
+        auto scan = [&](const HistoryRing<RollupPoint> &ring,
                         Duration width) -> std::optional<MetricSample> {
             for (size_t i = ring.size(); i > 0; --i) {
                 const RollupPoint &p = ring.at(i - 1);
@@ -421,9 +451,9 @@ class FullScanSeries
         return scan(hours_, 1_h);
     }
 
-    MetricRing<MetricSample> raw_;
-    MetricRing<RollupPoint> minutes_;
-    MetricRing<RollupPoint> hours_;
+    HistoryRing<MetricSample> raw_;
+    HistoryRing<RollupPoint> minutes_;
+    HistoryRing<RollupPoint> hours_;
     RollupPoint open_minute_;
     RollupPoint open_hour_;
     bool minute_open_ = false;
@@ -476,15 +506,20 @@ edge_times(const std::vector<TimePoint> &recorded)
 }
 
 // Every windowed query (range at each resolution, has_data, mean_over,
-// percentile_over, rate_over) must return exactly what a full scan of the
-// retained rings returns, as doubles compared bit for bit: random
-// non-decreasing series with duplicate timestamps, capacities so small
-// that all three rings wrap, and windows before the oldest sample, after
-// the newest, empty or inverted, and straddling the open bucket.
+// mean_if_data, percentile_over, rate_over, with and without a window
+// hint) must return exactly what a full scan of the retained rings
+// returns, as doubles compared bit for bit: random non-decreasing series
+// with duplicate timestamps, capacities so small that all three rings
+// wrap (raw and minute rings several times over, so the ring index
+// wraps at every offset), and windows before the oldest sample, after
+// the newest, empty or inverted, and straddling the open bucket. Hints
+// are carried across random query times (mostly wrong guesses) and
+// across queries at each newest sample (the alert engine's pattern).
 TEST(MetricStoreProperty, WindowQueriesMatchFullScanReference)
 {
     Rng rng(20251017);
     int wrapped_trials = 0;
+    int wrapped_thrice_trials = 0;
     for (int trial = 0; trial < 150; ++trial) {
         SCOPED_TRACE("trial " + std::to_string(trial));
         MetricStoreConfig config;
@@ -498,6 +533,12 @@ TEST(MetricStoreProperty, WindowQueriesMatchFullScanReference)
         const std::vector<Duration> windows = {
             Duration::micros(0), Duration::micros(1), 30_s, 1_min,
             10_min,              1_h,                 2_h + 30_min};
+        auto ref_mean = [&ref](TimePoint end, Duration window) {
+            return ref.has_data(end - window, end)
+                       ? std::optional<double>(ref.mean_over(end, window))
+                       : std::nullopt;
+        };
+        MetricStore::WindowHint random_hint;
         auto check = [&](const std::vector<TimePoint> &recorded) {
             const std::vector<TimePoint> times = edge_times(recorded);
             auto pick = [&] {
@@ -521,14 +562,24 @@ TEST(MetricStoreProperty, WindowQueriesMatchFullScanReference)
                 const double pct = rng.uniform(0.0, 100.0);
                 EXPECT_EQ(store.mean_over(id, end, window),
                           ref.mean_over(end, window));
+                EXPECT_EQ(store.mean_if_data(id, end, window),
+                          ref_mean(end, window));
+                EXPECT_EQ(store.mean_if_data(id, end, window, &random_hint),
+                          ref_mean(end, window));
                 EXPECT_EQ(store.percentile_over(id, end, window, pct),
                           ref.percentile_over(end, window, pct));
                 if (!window.is_zero()) {
                     EXPECT_EQ(store.rate_over(id, end, window),
                               ref.rate_over(end, window));
+                    EXPECT_EQ(store.rate_over(id, end, window, &random_hint),
+                              ref.rate_over(end, window));
                 }
             }
         };
+        MetricStore::WindowHint mean_hint;
+        MetricStore::WindowHint rate_hint;
+        const Duration steady_window =
+            windows[size_t(rng.uniform_int(1, int64_t(windows.size()) - 1))];
 
         std::vector<TimePoint> recorded;
         TimePoint t = TimePoint::from_micros(rng.uniform_int(0, 7'200'000'000));
@@ -552,14 +603,21 @@ TEST(MetricStoreProperty, WindowQueriesMatchFullScanReference)
             store.record(id, t, v);
             ref.record(t, v);
             recorded.push_back(t);
+            ASSERT_EQ(store.mean_if_data(id, t, steady_window, &mean_hint),
+                      ref_mean(t, steady_window));
+            ASSERT_EQ(store.rate_over(id, t, steady_window, &rate_hint),
+                      ref.rate_over(t, steady_window));
             if (i % 50 == 49 || i + 1 == samples)
                 check(recorded);
         }
         if (ref.wrapped())
             ++wrapped_trials;
+        if (ref.wrapped_thrice())
+            ++wrapped_thrice_trials;
     }
     // Most trials wrap all three rings; the rest cover the unwrapped case.
     EXPECT_GT(wrapped_trials, 50);
+    EXPECT_GT(wrapped_thrice_trials, 50);
 }
 
 } // namespace

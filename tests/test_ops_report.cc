@@ -8,6 +8,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "core/stack.h"
 #include "ops/report.h"
 #include "tcloud/client.h"
@@ -111,6 +113,63 @@ TEST(OpsReport, TelemetryDoesNotPerturbScheduling)
         EXPECT_EQ(ra[i].preemptions, rb[i].preemptions);
         EXPECT_EQ(ra[i].segments, rb[i].segments);
     }
+}
+
+// A run that cannot quiesce (a 16-GPU job on a 2x8 cluster with one node
+// cordoned) must stop where it stops without ops: sampling is not an
+// event, so it neither keeps the queue alive nor counts toward
+// max_events. The ops run still closes with its quiesce-instant sample.
+TEST(OpsReport, NonQuiescingRunStopsAtTheSameEventWithOpsOnOrOff)
+{
+    auto run = [](bool ops_on) {
+        core::StackConfig config = base_config();
+        config.ops.enabled = ops_on;
+        auto stack = std::make_unique<core::TaccStack>(config);
+        EXPECT_TRUE(stack->cordon_node(1).is_ok());
+        EXPECT_TRUE(stack->submit(spec("wide", "lab", 16, 20000)).is_ok());
+        EXPECT_FALSE(stack->run_to_completion(100000));
+        return stack;
+    };
+    const auto on = run(true);
+    const auto off = run(false);
+    EXPECT_EQ(on->simulator().now(), off->simulator().now());
+    EXPECT_EQ(on->simulator().processed(), off->simulator().processed());
+    EXPECT_LT(off->simulator().processed(), 10u);
+    ASSERT_NE(on->ops(), nullptr);
+    EXPECT_GE(on->ops()->samples_taken(), 1u);
+    const ops::MetricStore &store = on->ops()->store();
+    const auto depth = store.latest(store.find(ops::series::kQueueDepth));
+    ASSERT_TRUE(depth.has_value());
+    EXPECT_EQ(depth->t, on->simulator().now());
+    EXPECT_EQ(depth->v, 1.0);
+}
+
+// A rule added before its group-share series exists (the series is
+// defined at the first sample after the group is charged) binds to it
+// then and fires.
+TEST(OpsReport, RuleOverGroupShareFiresOnceTheSeriesExists)
+{
+    core::TaccStack stack(base_config());
+    ops::AlertRule rule;
+    rule.name = "lab-share";
+    rule.series = std::string(ops::series::kGroupSharePrefix) + "lab";
+    rule.agg = ops::AlertRule::Agg::kLast;
+    rule.cmp = ops::AlertRule::Cmp::kAbove;
+    rule.threshold = 0.0;
+    rule.for_duration = Duration::zero();
+    stack.ops()->alerts().add_rule(rule);
+    EXPECT_EQ(stack.ops()->store().find(rule.series), ops::kInvalidSeries);
+    run_scenario(stack);
+    const ops::MetricStore &store = stack.ops()->store();
+    const ops::SeriesId id = store.find(rule.series);
+    ASSERT_NE(id, ops::kInvalidSeries);
+    const auto first = store.range(id, TimePoint::origin(), TimePoint::max(),
+                                   ops::Resolution::kRaw);
+    ASSERT_FALSE(first.empty());
+    const auto &incidents = stack.ops()->alerts().incidents();
+    ASSERT_FALSE(incidents.empty());
+    EXPECT_EQ(incidents.front().rule, "lab-share");
+    EXPECT_EQ(incidents.front().fired_at, first.front().start);
 }
 
 // The accounting ledger must reconcile with the metrics records it is

@@ -4,8 +4,11 @@
  */
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "common/rng.h"
 #include "sim/simulator.h"
 
 namespace tacc {
@@ -181,6 +184,115 @@ TEST(PeriodicTask, RestartAfterStop)
     task.start();
     sim.run_until(TimePoint::origin() + 25_s);
     EXPECT_EQ(ticks, 2); // 10s, then 20s (re-armed at 10s)
+}
+
+TEST(SimulatorWatch, RunsBeforeLaterEventsAndTiesByArmOrder)
+{
+    Simulator sim;
+    std::vector<std::string> log;
+    sim.schedule_at(TimePoint::origin() + 30_s, "before-arm",
+                    [&] { log.push_back("a@30"); });
+    sim.set_watch(30_s, [&](TimePoint t) {
+        EXPECT_EQ(sim.now(), t);
+        log.push_back("w@" + std::to_string(t.to_micros() / 1'000'000));
+    });
+    sim.schedule_at(TimePoint::origin() + 30_s, "after-arm",
+                    [&] { log.push_back("b@30"); });
+    sim.schedule_at(TimePoint::origin() + 100_s, "late",
+                    [&] { log.push_back("c@100"); });
+    while (sim.step()) {
+    }
+    // The watch re-armed at 30 s after b was scheduled, so nothing ties
+    // with it again; the empty queue ends the run without more samples.
+    EXPECT_EQ(log, (std::vector<std::string>{"a@30", "w@30", "b@30", "w@60",
+                                             "w@90", "c@100"}));
+    EXPECT_EQ(sim.processed(), 3u);
+    EXPECT_EQ(sim.pending(), 0u);
+    EXPECT_EQ(sim.now(), TimePoint::origin() + 100_s);
+
+    sim.run_until(TimePoint::origin() + 150_s); // flushes 120 s and 150 s
+    EXPECT_EQ(log.back(), "w@150");
+    EXPECT_EQ(log.size(), 8u);
+    sim.clear_watch();
+    sim.run_until(TimePoint::origin() + 300_s);
+    EXPECT_EQ(log.size(), 8u);
+    EXPECT_EQ(sim.processed(), 3u);
+}
+
+/**
+ * The watch must reproduce a PeriodicTask exactly: the same instants,
+ * interleaved with the same events in the same order and the same clock
+ * after every step or run_until(). Events schedule more events, many of
+ * them on watch instants, so every tie shows.
+ */
+TEST(SimulatorWatch, MatchesPeriodicTaskUnderRandomEvents)
+{
+    for (uint64_t seed = 1; seed <= 40; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        struct World {
+            Simulator sim;
+            Rng rng;
+            std::vector<std::pair<char, int64_t>> log;
+            int next_id = 0;
+
+            explicit World(uint64_t seed) : rng(seed) {}
+
+            void
+            spawn()
+            {
+                const int64_t step_s = rng.uniform_int(0, 3) == 0
+                                           ? 30 * rng.uniform_int(0, 3)
+                                           : 5 * rng.uniform_int(0, 20);
+                const int id = next_id++;
+                sim.schedule_after(Duration::seconds(step_s), "ev", [this, id] {
+                    log.push_back({'e', id});
+                    if (next_id < 400) {
+                        for (int64_t k = rng.uniform_int(1, 2); k > 0; --k)
+                            spawn();
+                    }
+                });
+            }
+        };
+        World task(seed);
+        World watch(seed);
+        for (World *w : {&task, &watch}) {
+            for (int i = 0; i < 5; ++i)
+                w->spawn();
+        }
+        sim::PeriodicTask tick(task.sim, 30_s, "tick", [&task] {
+            task.log.push_back({'w', task.sim.now().to_micros()});
+        });
+        tick.start();
+        watch.sim.set_watch(30_s, [&watch](TimePoint t) {
+            watch.log.push_back({'w', t.to_micros()});
+        });
+        for (World *w : {&task, &watch}) {
+            for (int i = 0; i < 5; ++i)
+                w->spawn();
+        }
+
+        Rng driver(seed * 7919);
+        TimePoint horizon = TimePoint::origin();
+        while (watch.sim.pending() > 0) {
+            if (driver.uniform_int(0, 1) == 0) {
+                // A watch instant is a step of its own, like a tick.
+                ASSERT_TRUE(task.sim.step());
+                ASSERT_TRUE(watch.sim.step());
+            } else {
+                horizon = std::max(horizon, watch.sim.now()) +
+                          Duration::seconds(
+                              driver.uniform_int(0, 4) == 0
+                                  ? 30 * driver.uniform_int(0, 3)
+                                  : driver.uniform_int(0, 100));
+                task.sim.run_until(horizon);
+                watch.sim.run_until(horizon);
+            }
+            ASSERT_EQ(task.log, watch.log);
+            ASSERT_EQ(task.sim.now(), watch.sim.now());
+        }
+        EXPECT_EQ(task.sim.pending(), 1u); // only the tick is left
+        EXPECT_GT(watch.log.size(), 400u);
+    }
 }
 
 } // namespace

@@ -4,6 +4,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/rng.h"
 #include "sched/usage.h"
 
@@ -133,27 +135,29 @@ TEST(UsageTracker, CacheIsPerTimestamp)
                 1e-9);
 }
 
-TEST(UsageTracker, SnapshotSortedAndConsistent)
+// The ops group-share source walks the tracker once: every key by its
+// first-charge slot, with a sum bit-identical to total_usage.
+TEST(UsageTracker, ForEachUsageVisitsSlotsAndSumsLikeTotal)
 {
     UsageTracker tracker(24_h);
     const TimePoint t = TimePoint::origin();
     tracker.charge("zeta", 10.0, t);
     tracker.charge("alpha", 30.0, t);
     tracker.charge("mid", 20.0, t);
-    const auto snap = tracker.snapshot(t + 1_h);
-    ASSERT_EQ(snap.size(), 3u);
-    EXPECT_EQ(snap[0].first, "alpha");
-    EXPECT_EQ(snap[1].first, "mid");
-    EXPECT_EQ(snap[2].first, "zeta");
-    double total = 0;
-    for (const auto &[key, value] : snap) {
-        EXPECT_EQ(value, tracker.usage(key, t + 1_h));
-        total += value;
-    }
+    tracker.charge("alpha", 5.0, t + 1_min);
+    ASSERT_EQ(tracker.key_count(), 3u);
+    EXPECT_EQ(tracker.key_at(0), "zeta");
+    EXPECT_EQ(tracker.key_at(1), "alpha");
+    EXPECT_EQ(tracker.key_at(2), "mid");
+    std::vector<double> used(3, -1.0);
+    const double total = tracker.for_each_usage(
+        t + 1_h, [&used](size_t slot, double v) { used[slot] = v; });
+    for (size_t slot = 0; slot < used.size(); ++slot)
+        EXPECT_EQ(used[slot], tracker.usage(tracker.key_at(slot), t + 1_h));
+    EXPECT_EQ(total, tracker.total_usage(t + 1_h));
     EXPECT_NEAR(total, summed_usage(tracker, {"alpha", "mid", "zeta"},
                                     t + 1_h),
                 1e-12);
-    EXPECT_EQ(tracker.key_count(), 3u);
 }
 
 TEST(QuotaManager, UnlimitedByDefault)

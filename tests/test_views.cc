@@ -141,7 +141,21 @@ TEST_P(ViewConsistency, ViewsMatchTheirRebuildAfterEveryEvent)
         const int nodes = stack.cluster().node_count();
         uint64_t events = 0;
         while (!stack.quiescent() && events < 400'000) {
-            ASSERT_TRUE(stack.simulator().step()) << c.name;
+            if (!stack.simulator().step()) {
+                // No event left while work waits: the random verbs below
+                // have cordoned or drained every node it fits on. Lift
+                // the holds, as an operator would, and go on.
+                const auto &health = stack.cluster().health();
+                ASSERT_GT(health.count(cluster::NodeHealth::kCordoned) +
+                              health.count(cluster::NodeHealth::kDraining),
+                          0)
+                    << c.name;
+                for (int node = 0; node < nodes; ++node)
+                    (void)stack.uncordon_node(node);
+                ASSERT_TRUE(stack.check_views().is_ok()) << c.name;
+                ASSERT_GT(stack.simulator().pending(), 0u) << c.name;
+                continue;
+            }
             ++events;
             if (events % 97 == 0) {
                 // Operator verbs; refusals (wrong state) are fine.
