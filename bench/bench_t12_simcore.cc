@@ -12,7 +12,9 @@
  *    pattern of preemption and kill paths;
  *  - periodic-task re-arming (scheduler ticks);
  *  - end-to-end trace replay through TaccStack (simulated jobs per wall
- *    second).
+ *    second);
+ *  - the compiler layer per compile: cold (empty cache), and warm at 4
+ *    and 64 MiB chunks, where every resident plan moves as one LRU run.
  *
  * Run with --benchmark_format=json to emit the machine-readable series
  * recorded in EXPERIMENTS.md (baseline vs. optimized engine).
@@ -24,6 +26,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "compiler/compiler.h"
 #include "core/scenario.h"
 #include "sim/simulator.h"
 #include "workload/trace.h"
@@ -171,6 +174,49 @@ BM_TraceReplay(benchmark::State &state)
 }
 BENCHMARK(BM_TraceReplay)->Arg(500)->Arg(2000)
     ->Unit(benchmark::kMillisecond);
+
+/** The trace generator's first spec: a user's code tree, the image's
+ *  2.2 GB deps and the group's 18 GB dataset. */
+workload::TaskSpec
+trace_spec()
+{
+    workload::TraceConfig config;
+    config.num_jobs = 1;
+    config.seed = 42;
+    return workload::TraceGenerator(config).generate().front().spec;
+}
+
+/** A compile into an empty cache: every plan derived, every chunk
+ *  missed and inserted. */
+void
+BM_CompileCold(benchmark::State &state)
+{
+    const workload::TaskSpec spec = trace_spec();
+    for (auto _ : state) {
+        compiler::Compiler compiler;
+        auto out = compiler.compile(spec);
+        benchmark::DoNotOptimize(out);
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CompileCold)->Unit(benchmark::kMicrosecond);
+
+/** The same spec compiled again at range(0) MiB chunks: all hits. */
+void
+BM_CompileWarm(benchmark::State &state)
+{
+    compiler::CompilerConfig config;
+    config.chunk_bytes = uint64_t(state.range(0)) << 20;
+    compiler::Compiler compiler(config);
+    const workload::TaskSpec spec = trace_spec();
+    (void)compiler.compile(spec);
+    for (auto _ : state) {
+        auto out = compiler.compile(spec);
+        benchmark::DoNotOptimize(out);
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CompileWarm)->Arg(4)->Arg(64)->Unit(benchmark::kMicrosecond);
 
 } // namespace
 

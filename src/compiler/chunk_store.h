@@ -39,6 +39,9 @@ std::vector<ChunkRef> chunk_artifact(const workload::Artifact &artifact,
                                      uint64_t chunk_bytes,
                                      double delta_fraction);
 
+/** Names one chunk plan for the run path of ChunkStore::touch_plan. */
+using RunId = uint32_t;
+
 /**
  * Byte-bounded LRU set of chunks.
  *
@@ -47,18 +50,51 @@ std::vector<ChunkRef> chunk_artifact(const workload::Artifact &artifact,
  * is an open-addressing table of slot indices, homed by the low bits of
  * the chunk id (ids are already split_mix64 outputs), with linear probing,
  * backward-shift deletion and doubling at load 1/2.
+ *
+ * A plan touched chunk by chunk ends as one contiguous block at the MRU
+ * end, chunk 0 the oldest. touch_plan() records that block as the plan's
+ * *run* and tags its nodes; while no node of the block is touched,
+ * evicted or re-tagged, touching the plan again just moves the block to
+ * the MRU end, which is one O(1) splice. Invariant: a node is tagged `r`
+ * iff it lies in run `r`'s live block. Every event that would break the
+ * block dissolves the run (untags its nodes) first.
  */
 class ChunkStore
 {
   public:
+    /** The hit chunks of one touch_plan() call and their bytes. */
+    struct PlanHits {
+        size_t chunks = 0;
+        uint64_t bytes = 0;
+    };
+
     /** @param capacity_bytes 0 means unbounded. */
     explicit ChunkStore(uint64_t capacity_bytes = 0);
 
     /** True if the chunk is resident (refreshes LRU recency). */
     bool lookup(ChunkId id);
 
-    /** Inserts a chunk (no-op if resident); may evict LRU chunks. */
+    /** Inserts a chunk (no-op if resident); may evict LRU chunks.
+     *  `bytes` must fit in 32 bits. */
     void insert(ChunkId id, uint64_t bytes);
+
+    /** A new run id, dense from 0; ids stay valid across clear(). */
+    RunId add_run();
+
+    /**
+     * Looks up each chunk of a plan in order and inserts each miss: the
+     * same hits, misses, evictions and LRU order as lookup() then, on a
+     * miss, insert() per chunk. If `run` is live it must hold exactly
+     * these chunks (dissolve_run() it when the plan changes); it then
+     * moves in one splice. Otherwise the per-chunk pass runs and leaves
+     * `run` live iff the plan's chunks all end resident, distinct and in
+     * plan order at the MRU end. `bytes` is the chunks' byte total.
+     */
+    PlanHits touch_plan(RunId run, const std::vector<ChunkRef> &chunks,
+                        uint64_t bytes);
+
+    /** Untags the run's nodes (no-op unless live). */
+    void dissolve_run(RunId run);
 
     uint64_t resident_bytes() const { return resident_bytes_; }
     size_t resident_chunks() const { return size_; }
@@ -67,8 +103,14 @@ class ChunkStore
     uint64_t hits() const { return hits_; }
     uint64_t misses() const { return misses_; }
     uint64_t evictions() const { return evictions_; }
+    /** touch_plan() calls served by the run splice. */
+    uint64_t run_splices() const { return run_splices_; }
 
-    /** Drops everything (for cold-cache experiments). */
+    /** Resident chunk ids, most recently used first. */
+    std::vector<ChunkId> lru_order() const;
+
+    /** Drops everything (for cold-cache experiments); dissolves every
+     *  run. */
     void clear();
 
   private:
@@ -76,11 +118,40 @@ class ChunkStore
 
     struct Node {
         ChunkId id;
-        uint64_t bytes;
+        uint32_t bytes;
+        RunId run;     ///< the live run holding the node; kNil if none
         uint32_t prev; ///< towards the most recent end; kNil at the head
         uint32_t next; ///< towards the LRU end; free-list link when free
     };
+    static_assert(sizeof(Node) == 24);
 
+    /** A live run's block spans newest..oldest along `next`; count 0 =
+     *  not live. */
+    struct Run {
+        uint32_t newest = kNil;
+        uint32_t oldest = kNil;
+        uint32_t count = 0;
+    };
+
+  public:
+    /**
+     * The store's recyclable allocations (slab and index). Opaque to
+     * callers: it moves capacity between stores (core::StackArena), so a
+     * sweep worker's next scenario skips the index's growth from 16 slots.
+     */
+    struct Storage {
+        std::vector<Node> nodes;
+        std::vector<uint32_t> index;
+    };
+
+    /** Takes over released storage. Must be called while the store is
+     *  empty and has never held a chunk. */
+    void adopt_storage(Storage &&storage);
+
+    /** Hands the allocations back and leaves the store empty. */
+    Storage release_storage();
+
+  private:
     /** Index-table position holding `id`, or of the empty slot ending
      *  its probe run. */
     size_t probe(ChunkId id) const;
@@ -88,6 +159,10 @@ class ChunkStore
     void push_front(uint32_t slot);
     /** Marks the slot most recently used. */
     void touch(uint32_t slot);
+    /** Moves a live run's block to the MRU end. */
+    void splice_front(const Run &run);
+    /** Inserts a chunk known to be absent, tagged `run`. */
+    uint32_t add(ChunkId id, uint64_t bytes, RunId run);
     void erase_index(size_t pos);
     void grow_index();
     void evict_to_fit(uint64_t incoming_bytes);
@@ -97,12 +172,18 @@ class ChunkStore
     uint64_t hits_ = 0;
     uint64_t misses_ = 0;
     uint64_t evictions_ = 0;
+    uint64_t run_splices_ = 0;
     size_t size_ = 0;
     std::vector<Node> nodes_;
     uint32_t head_ = kNil; ///< most recent
     uint32_t tail_ = kNil; ///< least recent
     uint32_t free_ = kNil;
     std::vector<uint32_t> index_; ///< slot indices; kNil = empty
+    std::vector<Run> runs_;
+    /** The run touch_plan() is building, and how many resident nodes
+     *  it has tagged so far; kNil when no build is under way. */
+    RunId building_ = kNil;
+    uint32_t claimed_ = 0;
 };
 
 } // namespace tacc::compiler

@@ -21,6 +21,7 @@ Compiler::Compiler(CompilerConfig config)
 {
     assert(config_.ingest_gbps > 0);
     assert(config_.chunk_bytes > 0);
+    assert(config_.chunk_bytes <= UINT32_MAX);
 }
 
 RuntimeKind
@@ -43,19 +44,23 @@ Compiler::resolve_runtime(const workload::TaskSpec &spec,
     return RuntimeKind::kContainer;
 }
 
-const std::vector<ChunkRef> &
+const Compiler::ChunkPlan &
 Compiler::plan_of(const workload::Artifact &artifact)
 {
     auto [it, fresh] = plans_.try_emplace(artifact.name);
     ChunkPlan &plan = it->second;
-    if (fresh || plan.version != artifact.version ||
-        plan.bytes != artifact.bytes) {
-        plan.version = artifact.version;
-        plan.bytes = artifact.bytes;
-        plan.chunks = chunk_artifact(artifact, config_.chunk_bytes,
-                                     config_.delta_fraction);
+    if (fresh) {
+        plan.run = cache_.add_run();
+    } else if (plan.version == artifact.version &&
+               plan.bytes == artifact.bytes) {
+        return plan;
     }
-    return plan.chunks;
+    cache_.dissolve_run(plan.run);
+    plan.version = artifact.version;
+    plan.bytes = artifact.bytes;
+    plan.chunks = chunk_artifact(artifact, config_.chunk_bytes,
+                                 config_.delta_fraction);
+    return plan;
 }
 
 StatusOr<TaskInstruction>
@@ -70,18 +75,16 @@ Compiler::compile(const workload::TaskSpec &spec)
     out.spec = spec;
 
     for (const auto &artifact : spec.artifacts) {
-        for (const auto &chunk : plan_of(artifact)) {
-            out.total_bytes += chunk.bytes;
-            ++out.chunk_count;
-            if (config_.cache_enabled && cache_.lookup(chunk.id)) {
-                out.cached_bytes += chunk.bytes;
-                ++out.chunk_hits;
-            } else {
-                out.transferred_bytes += chunk.bytes;
-                if (config_.cache_enabled)
-                    cache_.insert(chunk.id, chunk.bytes);
-            }
-        }
+        // A plan's chunks sum to its artifact's bytes.
+        const ChunkPlan &plan = plan_of(artifact);
+        ChunkStore::PlanHits hits;
+        if (config_.cache_enabled)
+            hits = cache_.touch_plan(plan.run, plan.chunks, plan.bytes);
+        out.total_bytes += plan.bytes;
+        out.chunk_count += plan.chunks.size();
+        out.cached_bytes += hits.bytes;
+        out.chunk_hits += hits.chunks;
+        out.transferred_bytes += plan.bytes - hits.bytes;
     }
 
     out.runtime = resolve_runtime(spec, out.total_bytes);

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -117,20 +118,33 @@ class Compiler
     /** Drops all cached chunks (cold-start experiments). */
     void clear_cache();
 
+    /** Cache storage recycling between runs (see core::StackArena). */
+    void adopt_cache_storage(ChunkStore::Storage &&storage)
+    {
+        cache_.adopt_storage(std::move(storage));
+    }
+    ChunkStore::Storage release_cache_storage()
+    {
+        return cache_.release_storage();
+    }
+
   private:
-    /** The chunk plan of one artifact version. */
+    /** The chunk plan of one artifact version; `run` names it in the
+     *  cache for the name's lifetime. */
     struct ChunkPlan {
         uint64_t version = 0;
-        uint64_t bytes = 0;
+        uint64_t bytes = 0; ///< the chunks' byte total
+        RunId run = 0;
         std::vector<ChunkRef> chunks;
     };
 
     RuntimeKind resolve_runtime(const workload::TaskSpec &spec,
                                 uint64_t total_bytes) const;
 
-    /** The artifact's chunk plan, re-derived only when its version or
-     *  size differs from the name's latest plan. */
-    const std::vector<ChunkRef> &plan_of(const workload::Artifact &artifact);
+    /** The artifact's chunk plan, re-derived (and its run dissolved)
+     *  only when its version or size differs from the name's latest
+     *  plan. */
+    const ChunkPlan &plan_of(const workload::Artifact &artifact);
 
     CompilerConfig config_;
     ChunkStore cache_;

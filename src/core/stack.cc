@@ -42,6 +42,7 @@ TaccStack::TaccStack(StackConfig config, StackArena *arena)
             sim_.adopt_storage(std::move(arena->sim_storage));
             arena->has_storage = false;
         }
+        compiler_.adopt_cache_storage(std::move(arena->chunk_storage));
         views_.adopt(std::move(arena->pending_scratch),
                      std::move(arena->running_scratch));
     }
@@ -538,6 +539,7 @@ TaccStack::donate_arena(StackArena *arena)
         return;
     arena->sim_storage = sim_.release_storage();
     arena->has_storage = true;
+    arena->chunk_storage = compiler_.release_cache_storage();
     views_.donate(arena->pending_scratch, arena->running_scratch);
 }
 

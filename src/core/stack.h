@@ -117,14 +117,15 @@ struct StackConfig {
 
 /**
  * Recyclable allocations handed between successive TaccStack runs —
- * one arena per sweep worker. Holds the simulator's event slab/heap
- * and the storage of the pending and running views (sched::LiveViews),
- * so back-to-back scenarios skip the allocation ramp-up a fresh stack
- * pays.
+ * one arena per sweep worker. Holds the simulator's event slab/heap,
+ * the compiler cache's chunk slab and index, and the storage of the
+ * pending and running views (sched::LiveViews), so back-to-back
+ * scenarios skip the allocation ramp-up a fresh stack pays.
  */
 struct StackArena {
     sim::Simulator::Storage sim_storage;
     bool has_storage = false;
+    compiler::ChunkStore::Storage chunk_storage;
     std::vector<workload::Job *> pending_scratch;
     std::vector<sched::RunningInfo> running_scratch;
 };

@@ -201,6 +201,15 @@ class ReferenceStore
     uint64_t misses() const { return misses_; }
     uint64_t evictions() const { return evictions_; }
 
+    std::vector<ChunkId>
+    lru_order() const
+    {
+        std::vector<ChunkId> out;
+        for (const auto &[id, bytes] : lru_)
+            out.push_back(id);
+        return out;
+    }
+
   private:
     uint64_t capacity_;
     uint64_t resident_bytes_ = 0;
@@ -301,6 +310,283 @@ TEST(ChunkStore, CollidingIdsSurviveEvictionsInsideTheirProbeRun)
     for (size_t i = 1; i < ids.size(); ++i)
         EXPECT_TRUE(store.lookup(ids[i])) << "id " << i;
     EXPECT_FALSE(store.lookup(ids[0]));
+}
+
+/** A plan of `count` chunks of `bytes` each, ids base+0..base+count-1
+ *  spread by a multiplier so they home apart. */
+std::vector<ChunkRef>
+plan_of_ids(uint64_t base, uint64_t count, uint64_t bytes = 10)
+{
+    std::vector<ChunkRef> plan;
+    for (uint64_t i = 0; i < count; ++i)
+        plan.push_back(ChunkRef{(base + i) * 0x9e3779b97f4a7c15ULL, bytes});
+    return plan;
+}
+
+uint64_t
+plan_bytes(const std::vector<ChunkRef> &plan)
+{
+    uint64_t total = 0;
+    for (const ChunkRef &chunk : plan)
+        total += chunk.bytes;
+    return total;
+}
+
+/** Compiler::compile's per-chunk loop against the reference store. */
+ChunkStore::PlanHits
+reference_touch(ReferenceStore &ref, const std::vector<ChunkRef> &plan)
+{
+    ChunkStore::PlanHits hits;
+    for (const ChunkRef &chunk : plan) {
+        if (ref.lookup(chunk.id)) {
+            ++hits.chunks;
+            hits.bytes += chunk.bytes;
+        } else {
+            ref.insert(chunk.id, chunk.bytes);
+        }
+    }
+    return hits;
+}
+
+/** Touches the plan in both stores and compares the results, every
+ *  counter and the LRU order. */
+void
+touch_both(ChunkStore &store, ReferenceStore &ref, RunId run,
+           const std::vector<ChunkRef> &plan)
+{
+    const ChunkStore::PlanHits got =
+        store.touch_plan(run, plan, plan_bytes(plan));
+    const ChunkStore::PlanHits want = reference_touch(ref, plan);
+    EXPECT_EQ(got.chunks, want.chunks);
+    EXPECT_EQ(got.bytes, want.bytes);
+    expect_same_counters(store, ref);
+    EXPECT_EQ(store.lru_order(), ref.lru_order());
+}
+
+TEST(ChunkStoreRun, WarmPlanMovesAsOneSplice)
+{
+    ChunkStore store;
+    ReferenceStore ref;
+    const RunId a = store.add_run();
+    const RunId b = store.add_run();
+    const auto plan_a = plan_of_ids(100, 5);
+    const auto plan_b = plan_of_ids(200, 3);
+    touch_both(store, ref, a, plan_a); // builds run a
+    touch_both(store, ref, b, plan_b); // builds run b above it
+    EXPECT_EQ(store.run_splices(), 0u);
+    touch_both(store, ref, a, plan_a); // a moves over b
+    touch_both(store, ref, a, plan_a); // already at the MRU end
+    touch_both(store, ref, b, plan_b);
+    EXPECT_EQ(store.run_splices(), 3u);
+    EXPECT_EQ(store.hits(), 5u + 5u + 3u);
+}
+
+TEST(ChunkStoreRun, DirectTouchOfMiddleChunkDissolvesRun)
+{
+    for (const bool via_insert : {false, true}) {
+        SCOPED_TRACE(via_insert ? "insert" : "lookup");
+        ChunkStore store;
+        ReferenceStore ref;
+        const RunId a = store.add_run();
+        const RunId b = store.add_run();
+        const auto plan_a = plan_of_ids(100, 5);
+        const auto plan_b = plan_of_ids(200, 3);
+        touch_both(store, ref, a, plan_a);
+        touch_both(store, ref, b, plan_b);
+        // Pull a's middle chunk out of its block.
+        if (via_insert) {
+            store.insert(plan_a[2].id, plan_a[2].bytes);
+            ref.insert(plan_a[2].id, plan_a[2].bytes);
+        } else {
+            EXPECT_TRUE(store.lookup(plan_a[2].id));
+            EXPECT_TRUE(ref.lookup(plan_a[2].id));
+        }
+        EXPECT_EQ(store.lru_order(), ref.lru_order());
+        touch_both(store, ref, a, plan_a); // per chunk: rebuilds run a
+        EXPECT_EQ(store.run_splices(), 0u);
+        touch_both(store, ref, b, plan_b); // b was untouched: splices
+        touch_both(store, ref, a, plan_a); // the rebuilt run splices
+        EXPECT_EQ(store.run_splices(), 2u);
+    }
+}
+
+TEST(ChunkStoreRun, EvictingOldestChunkDissolvesRun)
+{
+    ChunkStore store(80); // eight 10-byte chunks
+    ReferenceStore ref(80);
+    const RunId a = store.add_run();
+    const RunId b = store.add_run();
+    const RunId c = store.add_run();
+    const auto plan_a = plan_of_ids(100, 4);
+    const auto plan_b = plan_of_ids(200, 4);
+    touch_both(store, ref, a, plan_a);
+    touch_both(store, ref, b, plan_b); // full: a is the LRU block
+    touch_both(store, ref, c, plan_of_ids(300, 1)); // evicts a's oldest
+    EXPECT_EQ(store.evictions(), 1u);
+    touch_both(store, ref, a, plan_a); // per chunk, evicting b's tail
+    EXPECT_EQ(store.run_splices(), 0u);
+    touch_both(store, ref, b, plan_b); // b lost chunks: per chunk
+    EXPECT_EQ(store.run_splices(), 0u);
+    touch_both(store, ref, b, plan_b); // rebuilt: splices
+    EXPECT_EQ(store.run_splices(), 1u);
+}
+
+TEST(ChunkStoreRun, PlanLargerThanCacheNeverBecomesRun)
+{
+    ChunkStore store(30);
+    ReferenceStore ref(30);
+    const RunId a = store.add_run();
+    const auto plan = plan_of_ids(100, 5);
+    for (int i = 0; i < 3; ++i)
+        touch_both(store, ref, a, plan);
+    EXPECT_EQ(store.run_splices(), 0u);
+    EXPECT_EQ(store.hits(), 0u);
+}
+
+TEST(ChunkStoreRun, PlanWithRepeatedIdNeverBecomesRun)
+{
+    ChunkStore store;
+    ReferenceStore ref;
+    const RunId a = store.add_run();
+    auto plan = plan_of_ids(100, 4);
+    plan.push_back(plan[1]);
+    for (int i = 0; i < 3; ++i)
+        touch_both(store, ref, a, plan);
+    EXPECT_EQ(store.run_splices(), 0u);
+}
+
+TEST(ChunkStoreRun, CollidingIdFromAnotherPlanDissolvesRun)
+{
+    ChunkStore store;
+    ReferenceStore ref;
+    const RunId a = store.add_run();
+    const RunId b = store.add_run();
+    const auto plan_a = plan_of_ids(100, 5);
+    auto plan_b = plan_of_ids(200, 3);
+    plan_b.push_back(plan_a[3]); // b shares one of a's ids
+    touch_both(store, ref, a, plan_a);
+    touch_both(store, ref, b, plan_b); // takes a[3]: a dissolves
+    touch_both(store, ref, a, plan_a); // per chunk; takes a[3] back
+    touch_both(store, ref, b, plan_b);
+    EXPECT_EQ(store.run_splices(), 0u);
+    touch_both(store, ref, b, plan_b); // b is intact now
+    EXPECT_EQ(store.run_splices(), 1u);
+}
+
+TEST(ChunkStoreRun, ClearDissolvesEveryRun)
+{
+    ChunkStore store;
+    ReferenceStore ref;
+    const RunId a = store.add_run();
+    const RunId b = store.add_run();
+    const auto plan_a = plan_of_ids(100, 5);
+    const auto plan_b = plan_of_ids(200, 3);
+    touch_both(store, ref, a, plan_a);
+    touch_both(store, ref, b, plan_b);
+    store.clear();
+    ref.clear();
+    touch_both(store, ref, a, plan_a); // all misses, rebuilt per chunk
+    touch_both(store, ref, b, plan_b);
+    EXPECT_EQ(store.run_splices(), 0u);
+    EXPECT_EQ(store.hits(), 0u);
+    touch_both(store, ref, a, plan_a);
+    EXPECT_EQ(store.run_splices(), 1u);
+}
+
+TEST(ChunkStoreRun, RecycledStorageBehavesLikeFresh)
+{
+    ChunkStore donor;
+    const RunId d = donor.add_run();
+    donor.touch_plan(d, plan_of_ids(1, 500), 5000);
+    ChunkStore store(200);
+    store.adopt_storage(donor.release_storage());
+    ReferenceStore ref(200);
+    const RunId a = store.add_run();
+    const auto plan = plan_of_ids(100, 12);
+    for (int i = 0; i < 3; ++i)
+        touch_both(store, ref, a, plan);
+    EXPECT_EQ(store.run_splices(), 2u);
+}
+
+// Seeded sequences of plan touches, interleaved with direct lookups and
+// inserts of the plans' ids and with clear(), against the reference
+// store's per-chunk loop: results, counters and the full LRU order after
+// every call. Plans repeat ids, share ids with other plans, change
+// content (their run dissolved first, as Compiler does) and are larger
+// than some capacities.
+TEST(ChunkStoreProperty, PlanTouchesMatchPerChunkReference)
+{
+    Rng rng(20261018);
+    uint64_t touches = 0;
+    uint64_t evictions = 0;
+    uint64_t splices = 0;
+    for (int trial = 0; trial < 24; ++trial) {
+        SCOPED_TRACE("trial " + std::to_string(trial));
+        const uint64_t capacity =
+            std::vector<uint64_t>{0, 40, 300, 2'000}[size_t(trial) % 4];
+        ChunkStore store(capacity);
+        ReferenceStore ref(capacity);
+        std::vector<RunId> runs;
+        std::vector<std::vector<ChunkRef>> plans;
+        for (int p = 0; p < 6; ++p) {
+            runs.push_back(store.add_run());
+            plans.emplace_back();
+        }
+        auto rederive = [&](size_t p) {
+            store.dissolve_run(runs[p]);
+            plans[p].clear();
+            const int count = int(rng.uniform_int(0, 40));
+            for (int i = 0; i < count; ++i) {
+                const double pick = rng.uniform();
+                ChunkId id = rng.next_u64();
+                if (pick < 0.05 && !plans[p].empty()) // repeat an own id
+                    id = plans[p][size_t(rng.uniform_int(
+                                          0, int64_t(plans[p].size()) - 1))]
+                             .id;
+                else if (pick < 0.1) // a small shared pool
+                    id = uint64_t(rng.uniform_int(1, 30)) << 40;
+                plans[p].push_back(
+                    ChunkRef{id, uint64_t(rng.uniform_int(1, 20))});
+            }
+        };
+        for (size_t p = 0; p < plans.size(); ++p)
+            rederive(p);
+        for (int op = 0; op < 3000; ++op) {
+            const size_t p =
+                size_t(rng.uniform_int(0, int64_t(plans.size()) - 1));
+            const double pick = rng.uniform();
+            if (pick < 0.8) {
+                touch_both(store, ref, runs[p], plans[p]);
+                ++touches;
+            } else if (pick < 0.85) {
+                rederive(p);
+            } else if (pick < 0.995) {
+                if (plans[p].empty())
+                    continue;
+                const ChunkRef chunk = plans[p][size_t(
+                    rng.uniform_int(0, int64_t(plans[p].size()) - 1))];
+                if (rng.bernoulli(0.5)) {
+                    EXPECT_EQ(store.lookup(chunk.id), ref.lookup(chunk.id));
+                } else {
+                    store.insert(chunk.id, chunk.bytes);
+                    ref.insert(chunk.id, chunk.bytes);
+                }
+                expect_same_counters(store, ref);
+                EXPECT_EQ(store.lru_order(), ref.lru_order());
+            } else {
+                store.clear();
+                ref.clear();
+            }
+            if (::testing::Test::HasFailure())
+                return;
+        }
+        evictions += ref.evictions();
+        splices += store.run_splices();
+    }
+    // Both paths ran, under eviction pressure.
+    EXPECT_GT(evictions, 10'000u);
+    EXPECT_GT(splices, touches / 10);
+    EXPECT_LT(splices, touches * 9 / 10);
 }
 
 TEST(Compiler, ColdCompileTransfersEverything)
@@ -496,11 +782,37 @@ class ReferenceCompiler
     CompilerStats stats_;
 };
 
+/** Every TaskInstruction and CompilerStats field, the cache counters and
+ *  the full LRU order of the compiler against the reference. */
+void
+expect_same_compile(const TaskInstruction &out, const TaskInstruction &want,
+                    const Compiler &compiler, const ReferenceCompiler &ref)
+{
+    EXPECT_EQ(out.spec, want.spec);
+    EXPECT_EQ(out.runtime, want.runtime);
+    EXPECT_EQ(out.total_bytes, want.total_bytes);
+    EXPECT_EQ(out.transferred_bytes, want.transferred_bytes);
+    EXPECT_EQ(out.cached_bytes, want.cached_bytes);
+    EXPECT_EQ(out.chunk_count, want.chunk_count);
+    EXPECT_EQ(out.chunk_hits, want.chunk_hits);
+    EXPECT_EQ(out.provision_time, want.provision_time);
+
+    const CompilerStats &s = compiler.stats();
+    const CompilerStats &r = ref.stats();
+    EXPECT_EQ(s.tasks_compiled, r.tasks_compiled);
+    EXPECT_EQ(s.bytes_total, r.bytes_total);
+    EXPECT_EQ(s.bytes_transferred, r.bytes_transferred);
+    EXPECT_EQ(s.bytes_cached, r.bytes_cached);
+    EXPECT_EQ(s.provision_seconds_total, r.provision_seconds_total);
+    expect_same_counters(compiler.cache(), ref.cache());
+    EXPECT_EQ(compiler.cache().lru_order(), ref.cache().lru_order());
+}
+
 // The plan memo must be invisible: a seeded sequence of compiles with
 // repeated names, version bumps, versions going down, the same version at
 // a new size and clear_cache() calls gives every TaskInstruction and
-// CompilerStats field of the re-chunking reference, bounded, unbounded and
-// with the cache off.
+// CompilerStats field and the LRU order of the re-chunking reference,
+// bounded, unbounded and with the cache off.
 TEST(CompilerProperty, PlanMemoMatchesRechunkingReference)
 {
     struct Case {
@@ -552,28 +864,97 @@ TEST(CompilerProperty, PlanMemoMatchesRechunkingReference)
             const auto got = compiler.compile(spec);
             const TaskInstruction want = ref.compile(spec);
             ASSERT_TRUE(got.is_ok());
-            const TaskInstruction &out = got.value();
-            EXPECT_EQ(out.spec, want.spec);
-            EXPECT_EQ(out.runtime, want.runtime);
-            EXPECT_EQ(out.total_bytes, want.total_bytes);
-            EXPECT_EQ(out.transferred_bytes, want.transferred_bytes);
-            EXPECT_EQ(out.cached_bytes, want.cached_bytes);
-            EXPECT_EQ(out.chunk_count, want.chunk_count);
-            EXPECT_EQ(out.chunk_hits, want.chunk_hits);
-            EXPECT_EQ(out.provision_time, want.provision_time);
-
-            const CompilerStats &s = compiler.stats();
-            const CompilerStats &r = ref.stats();
-            EXPECT_EQ(s.tasks_compiled, r.tasks_compiled);
-            EXPECT_EQ(s.bytes_total, r.bytes_total);
-            EXPECT_EQ(s.bytes_transferred, r.bytes_transferred);
-            EXPECT_EQ(s.bytes_cached, r.bytes_cached);
-            EXPECT_EQ(s.provision_seconds_total, r.provision_seconds_total);
-            expect_same_counters(compiler.cache(), ref.cache());
+            expect_same_compile(got.value(), want, compiler, ref);
             if (::testing::Test::HasFailure())
                 return;
         }
     }
+}
+
+// The run path must be invisible too. Trace-shaped specs (a code tree,
+// an image's deps, a group dataset) mostly repeat, so resident plans stay
+// unchanged for long stretches and take the splice; around them run the
+// regimes that dissolve or never form runs: bounded caches evicting runs
+// from the tail, plans larger than the cache, the same artifact twice in
+// one spec, versions going down and back up, clear_cache() and the cache
+// off, at 1, 4 and 64 MiB chunks.
+TEST(CompilerProperty, RunPathMatchesPerChunkReference)
+{
+    struct Case {
+        uint64_t chunk;
+        uint64_t capacity;
+        bool enabled;
+    };
+    uint64_t artifact_compiles = 0;
+    uint64_t splices = 0;
+    for (const uint64_t chunk : {1 * kMiB, 4 * kMiB, 64 * kMiB}) {
+        for (const Case c : {Case{chunk, 0, true},
+                             Case{chunk, 1'000 * kMiB, true},
+                             Case{chunk, 400 * kMiB, true},
+                             Case{chunk, 0, false}}) {
+            SCOPED_TRACE("chunk " + std::to_string(c.chunk) + " capacity " +
+                         std::to_string(c.capacity) +
+                         (c.enabled ? " on" : " off"));
+            CompilerConfig config;
+            config.chunk_bytes = c.chunk;
+            config.delta_fraction = 0.1;
+            config.cache_capacity_bytes = c.capacity;
+            config.cache_enabled = c.enabled;
+            Compiler compiler(config);
+            ReferenceCompiler ref(config);
+
+            Rng rng(11 + c.chunk + c.capacity);
+            // The datasets alone fit a 1000 MiB cache, not both with
+            // everything else; g1's is larger than the 400 MiB one.
+            const std::vector<workload::Artifact> base = {
+                artifact("u0/code", 9 * kMiB + 5),
+                artifact("u1/code", 2 * kMiB),
+                artifact("deps/pytorch", 180 * kMiB),
+                artifact("g0/dataset", 300 * kMiB + 1),
+                artifact("g1/dataset", 520 * kMiB)};
+            std::vector<workload::Artifact> current = base;
+            std::vector<workload::Artifact> last_spec;
+            for (int step = 0; step < 300; ++step) {
+                SCOPED_TRACE("step " + std::to_string(step));
+                if (rng.bernoulli(0.01)) {
+                    compiler.clear_cache();
+                    ref.clear_cache();
+                }
+                if (last_spec.empty() || rng.bernoulli(0.25)) {
+                    // A new spec: a code tree, maybe the deps, a dataset.
+                    last_spec.clear();
+                    const size_t code = size_t(rng.uniform_int(0, 1));
+                    const double move = rng.uniform();
+                    if (move < 0.3)
+                        ++current[code].version;
+                    else if (move < 0.4 && current[code].version > 1)
+                        --current[code].version; // and back up later
+                    if (rng.bernoulli(0.05)) // rare deps bump
+                        ++current[2].version;
+                    last_spec.push_back(current[code]);
+                    if (rng.bernoulli(0.8))
+                        last_spec.push_back(current[2]);
+                    last_spec.push_back(
+                        current[size_t(rng.uniform_int(3, 4))]);
+                    if (rng.bernoulli(0.05)) // one artifact twice
+                        last_spec.push_back(last_spec.front());
+                }
+                const auto spec = spec_with(last_spec);
+                const auto got = compiler.compile(spec);
+                const TaskInstruction want = ref.compile(spec);
+                ASSERT_TRUE(got.is_ok());
+                expect_same_compile(got.value(), want, compiler, ref);
+                if (::testing::Test::HasFailure())
+                    return;
+                if (c.enabled)
+                    artifact_compiles += spec.artifacts.size();
+            }
+            splices += compiler.cache().run_splices();
+        }
+    }
+    // The run path served a large share of the artifact compiles.
+    EXPECT_GT(double(splices), 0.5 * double(artifact_compiles))
+        << splices << " of " << artifact_compiles;
 }
 
 } // namespace
