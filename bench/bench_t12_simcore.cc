@@ -14,7 +14,10 @@
  *  - end-to-end trace replay through TaccStack (simulated jobs per wall
  *    second);
  *  - the compiler layer per compile: cold (empty cache), and warm at 4
- *    and 64 MiB chunks, where every resident plan moves as one LRU run.
+ *    and 64 MiB chunks, where every resident plan moves as one LRU run;
+ *  - the deep-queue read paths: a tcloud reader's 8 status ETAs at one
+ *    stack state (one arrival-order walk, then table reads), and one
+ *    runtime prediction from a warm regress key.
  *
  * Run with --benchmark_format=json to emit the machine-readable series
  * recorded in EXPERIMENTS.md (baseline vs. optimized engine).
@@ -28,7 +31,10 @@
 #include "bench_util.h"
 #include "compiler/compiler.h"
 #include "core/scenario.h"
+#include "core/stack.h"
+#include "predict/runtime_model.h"
 #include "sim/simulator.h"
+#include "workload/model.h"
 #include "workload/trace.h"
 
 using namespace tacc;
@@ -217,6 +223,103 @@ BM_CompileWarm(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_CompileWarm)->Arg(4)->Arg(64)->Unit(benchmark::kMicrosecond);
+
+/** The reference 256-GPU stack held full by 32 long 8-GPU jobs, with
+ *  range(0) more jobs queued behind them (1-16 GPUs, 1-24 h limits). */
+std::unique_ptr<core::TaccStack>
+deep_queue(int depth)
+{
+    core::StackConfig config = bench::default_stack();
+    config.ops.enabled = false;
+    auto stack = std::make_unique<core::TaccStack>(config);
+    workload::TaskSpec spec = trace_spec();
+    spec.iterations = 1'000'000'000;
+    spec.gpus = 8;
+    spec.time_limit = Duration::days(30);
+    for (int i = 0; i < 32; ++i)
+        (void)stack->submit(spec);
+    stack->run_until(stack->simulator().now() + Duration::hours(1));
+    static const int kGpus[] = {1, 2, 1, 4, 8, 1, 2, 16};
+    for (int i = 0; i < depth; ++i) {
+        spec.gpus = kGpus[i % 8];
+        spec.time_limit = Duration::hours(1 + (i * 7) % 24);
+        (void)stack->submit(spec);
+    }
+    stack->run_until(stack->simulator().now() + Duration::hours(1));
+    return stack;
+}
+
+/**
+ * The tcloud reader's round on a deep queue: 8 status ETAs spread
+ * evenly through range(0) queued jobs, all at one instant. Each
+ * iteration moves the clock by 1 us first, so every round prices a new
+ * stack state.
+ */
+void
+BM_EstimatedStart(benchmark::State &state)
+{
+    const int depth = int(state.range(0));
+    auto stack = deep_queue(depth);
+    // Every queued job arrived at one instant, so id order is the
+    // queue's arrival order.
+    std::vector<cluster::JobId> pending;
+    for (const workload::Job *job : stack->jobs()) {
+        if (job->state() == workload::JobState::kPending)
+            pending.push_back(job->id());
+    }
+    if (pending.size() != size_t(depth)) {
+        state.SkipWithError("the queue did not build");
+        return;
+    }
+    std::vector<cluster::JobId> targets;
+    for (size_t i = 0; i < 8; ++i)
+        targets.push_back(pending[i * (pending.size() - 1) / 7]);
+    for (auto _ : state) {
+        stack->run_until(stack->simulator().now() + Duration::micros(1));
+        for (cluster::JobId id : targets) {
+            auto eta = stack->estimated_start(id);
+            benchmark::DoNotOptimize(eta);
+        }
+    }
+    state.SetItemsProcessed(state.iterations() * int64_t(targets.size()));
+}
+BENCHMARK(BM_EstimatedStart)->Arg(64)->Arg(600)
+    ->Unit(benchmark::kMicrosecond);
+
+/** One runtime prediction from a warm regress key (64 completions). */
+void
+BM_RuntimePredict(benchmark::State &state)
+{
+    predict::PredictConfig config;
+    config.enabled = true;
+    config.mode = predict::EstimatorMode::kRegress;
+    predict::RuntimeModel model(config);
+    workload::TaskSpec spec = trace_spec();
+    auto profile = workload::ModelCatalog::instance().find(spec.model);
+    for (int i = 0; i < 64; ++i) {
+        spec.gpus = 1 << (i % 4);
+        spec.iterations = 1000 + 250 * (i % 7);
+        workload::Job job(cluster::JobId(i + 1), spec, profile.value(),
+                          TimePoint::origin());
+        (void)job.begin_provisioning(TimePoint::origin());
+        (void)job.finish_provisioning(TimePoint::origin());
+        const double iter_s = 0.5 + 0.1 * double(spec.gpus);
+        (void)job.begin_segment(TimePoint::origin(), spec.gpus, iter_s);
+        (void)job.complete(TimePoint::origin() +
+                           job.remaining_runtime(iter_s));
+        model.observe(job);
+    }
+    spec.gpus = 4;
+    spec.iterations = 1800;
+    const workload::Job queued(cluster::JobId(1000), spec, profile.value(),
+                               TimePoint::origin());
+    for (auto _ : state) {
+        Duration bound = model.predict(queued);
+        benchmark::DoNotOptimize(bound);
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RuntimePredict);
 
 } // namespace
 

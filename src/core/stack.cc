@@ -1148,22 +1148,44 @@ TaccStack::estimated_start(cluster::JobId id) const
         break;
     }
 
-    sched::CapacityProfile profile(sim_.now(), cluster_.free_gpus());
-    for (const sched::RunningInfo &r : views_.running())
-        profile.add_release(r.expected_end, r.job->running_gpus());
-    // Queue ahead of (and including) the target, in arrival order.
-    for (const Job *ahead : views_.pending()) {
-        const Duration bound = active_estimator().predict(*ahead);
-        const TimePoint fit =
-            profile.earliest_fit(ahead->spec().gpus, bound);
-        if (ahead->id() == id)
-            return fit;
-        profile.reserve(fit, bound, ahead->spec().gpus);
+    EtaWalk &walk = eta_;
+    const uint64_t observations = predict_hub_.model().model_observations();
+    if (walk.views_version != views_.version() || walk.now != sim_.now() ||
+        walk.free_gpus != cluster_.free_gpus() ||
+        walk.observations != observations) {
+        walk.views_version = views_.version();
+        walk.now = sim_.now();
+        walk.free_gpus = cluster_.free_gpus();
+        walk.observations = observations;
+        walk.profile.reset(sim_.now(), cluster_.free_gpus());
+        for (const sched::RunningInfo &r : views_.running())
+            walk.profile.add_release(r.expected_end, r.job->running_gpus());
+        walk.fit.clear();
+        ++walk.walks;
     }
-    // Provisioning jobs enter the queue after everything pending now.
-    assert(rec->stage == Stage::kProvisioning);
+    // The queue ahead of (and including) the target, in arrival order;
+    // provisioning jobs enter the queue after everything pending now.
+    const auto pending = views_.pending();
+    size_t depth = pending.size();
+    if (rec->stage == Stage::kQueued) {
+        depth = size_t(std::lower_bound(pending.begin(), pending.end(),
+                                        &rec->job, sched::arrives_before) -
+                       pending.begin());
+        assert(depth < pending.size() && pending[depth] == &rec->job);
+        ++depth;
+    }
+    while (walk.fit.size() < depth) {
+        const Job &ahead = *pending[walk.fit.size()];
+        const Duration bound = active_estimator().predict(ahead);
+        const TimePoint fit =
+            walk.profile.earliest_fit(ahead.spec().gpus, bound);
+        walk.profile.reserve(fit, bound, ahead.spec().gpus);
+        walk.fit.push_back(fit);
+    }
+    if (rec->stage == Stage::kQueued)
+        return walk.fit[depth - 1];
     const Duration bound = active_estimator().predict(rec->job);
-    return profile.earliest_fit(rec->job.spec().gpus, bound);
+    return walk.profile.earliest_fit(rec->job.spec().gpus, bound);
 }
 
 Status

@@ -34,6 +34,7 @@
 #include "ops/ops_center.h"
 #include "power/power_manager.h"
 #include "predict/hub.h"
+#include "sched/capacity_profile.h"
 #include "sched/estimator.h"
 #include "sched/live_views.h"
 #include "sched/placement.h"
@@ -235,8 +236,18 @@ class TaccStack
      * The estimate assumes arrival-order scheduling, so it is exact for
      * FIFO-like policies and a good hint for the others — precisely
      * what `squeue --start` gives Slurm users.
+     *
+     * Answers come from a per-state table: the first query at a stack
+     * state walks the pending queue in arrival order as deep as that
+     * job, later queries at the same state read the table or extend
+     * the walk. The table is mutable storage reused across states, so
+     * one stack must not be read from two threads at once.
      */
     StatusOr<TimePoint> estimated_start(cluster::JobId id) const;
+
+    /** Stack states whose arrival-order walk estimated_start started;
+     *  every other query was answered from a table (a test hook). */
+    uint64_t eta_walks() const { return eta_.walks; }
 
     /**
      * Updates a group's concurrent-GPU cap at runtime (an operator
@@ -273,6 +284,8 @@ class TaccStack
 
     size_t pending_count() const { return views_.pending().size(); }
     size_t running_count() const { return views_.running().size(); }
+    /** The scheduler's pending (arrival order) and running views. */
+    const sched::LiveViews &views() const { return views_; }
 
     /**
      * Test hook: rebuilds every incrementally kept view from the job
@@ -391,6 +404,26 @@ class TaccStack
     std::vector<workload::SubmittedTask> stream_tasks_;
     std::vector<sim::BatchEvent> stream_batch_;
     ///@}
+    /**
+     * estimated_start's table: the arrival-order walk of one stack
+     * state, as deep as the deepest query so far. The key holds every
+     * input of the walk — the views' version (pending and running
+     * views, running GPUs and ends), the clock, the cluster's free
+     * GPUs and the estimator's observation count — so a state whose
+     * key matches is the state that was walked.
+     */
+    struct EtaWalk {
+        uint64_t views_version = ~uint64_t(0);
+        TimePoint now;
+        int free_gpus = -1;
+        uint64_t observations = 0;
+        /** The running releases plus every walked job's reservation. */
+        sched::CapacityProfile profile{TimePoint::origin(), 0};
+        /** fit[i]: the estimated start of pending()[i]. */
+        std::vector<TimePoint> fit;
+        uint64_t walks = 0;
+    };
+    mutable EtaWalk eta_;
 };
 
 } // namespace tacc::core

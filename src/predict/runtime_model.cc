@@ -119,27 +119,31 @@ RuntimeModel::solve(const KeyState &state, double coeff[3])
 
 double
 RuntimeModel::raw_predict_s(const KeyState &state,
-                            const workload::Job &job,
-                            int64_t iterations) const
+                            const workload::Job &job, int64_t iterations)
 {
     if (state.count == 0 || iterations <= 0)
         return -1.0;
     const double iters = double(iterations);
-    if (config_.mode == EstimatorMode::kRegress &&
-        state.count >= uint64_t(config_.sample_floor)) {
-        double coeff[3];
-        if (solve(state, coeff)) {
-            // Features (1, iters, iters*gpus): the interaction term lets
-            // the fit learn how per-iteration time stretches with scale
-            // (communication), which a flat per-iteration average cannot.
-            const double pred =
-                coeff[0] + coeff[1] * iters +
-                coeff[2] * iters * double(job.spec().gpus);
-            if (std::isfinite(pred) && pred > 0)
-                return pred;
-        }
+    if (state.solved) {
+        // Features (1, iters, iters*gpus): the interaction term lets the
+        // fit learn how per-iteration time stretches with scale
+        // (communication), which a flat per-iteration average cannot.
+        const double pred = state.coeff[0] + state.coeff[1] * iters +
+                            state.coeff[2] * iters *
+                                double(job.spec().gpus);
+        if (std::isfinite(pred) && pred > 0)
+            return pred;
     }
     return state.ema_per_iter_s * iters;
+}
+
+Duration
+RuntimeModel::padded(const KeyState &state, const workload::Job &job,
+                     double raw) const
+{
+    return std::min(
+        Duration::from_seconds(raw * state.safety * config_.bias),
+        job.spec().time_limit);
 }
 
 void
@@ -154,6 +158,7 @@ RuntimeModel::fold_regression(KeyState &state, const workload::Job &job,
     // against what the model would have predicted *before* seeing it
     // (raw model output — no safety, no bias — so the safety factor
     // derived from these quantiles measures model error, not itself).
+    // The state still holds the previous observation's solve.
     const double prior = raw_predict_s(state, job, job.iterations_done());
     if (prior > 0)
         state.errors.observe(y / prior);
@@ -193,6 +198,16 @@ RuntimeModel::observe(const workload::Job &job)
             0.3 * per_iter + 0.7 * state.ema_per_iter_s;
     ++state.count;
     ++observations_;
+    if (!config_.enabled)
+        return;
+    const bool regress = config_.mode == EstimatorMode::kRegress;
+    state.solved = regress &&
+                   state.count >= uint64_t(config_.sample_floor) &&
+                   solve(state, state.coeff);
+    state.safety = regress ? std::clamp(state.errors.p95(),
+                                        config_.safety_min,
+                                        config_.safety_max)
+                           : kEmaSafety;
 }
 
 const RuntimeModel::KeyState *
@@ -226,15 +241,7 @@ RuntimeModel::predict(const workload::Job &job) const
             limit);
     }
     const double raw = raw_predict_s(*state, job, job.spec().iterations);
-    if (raw <= 0)
-        return limit;
-    const double safety =
-        config_.mode == EstimatorMode::kRegress
-            ? std::clamp(state->errors.p95(), config_.safety_min,
-                         config_.safety_max)
-            : kEmaSafety;
-    return std::min(Duration::from_seconds(raw * safety * config_.bias),
-                    limit);
+    return raw > 0 ? padded(*state, job, raw) : limit;
 }
 
 Duration
@@ -253,15 +260,7 @@ RuntimeModel::predict_remaining(const workload::Job &job) const
     }
     const double raw =
         raw_predict_s(*state, job, job.iterations_remaining());
-    if (raw <= 0)
-        return Duration::zero();
-    const double safety =
-        config_.mode == EstimatorMode::kRegress
-            ? std::clamp(state->errors.p95(), config_.safety_min,
-                         config_.safety_max)
-            : kEmaSafety;
-    return std::min(Duration::from_seconds(raw * safety * config_.bias),
-                    job.spec().time_limit);
+    return raw > 0 ? padded(*state, job, raw) : Duration::zero();
 }
 
 double

@@ -59,8 +59,8 @@ class ErrorQuantiles
     double quantile(double q) const;
 
     std::vector<double> ring_;
-    /** The ring's values in ascending order, kept in step by observe():
-     *  predictions read quantiles far more often than samples arrive. */
+    /** The ring's values in ascending order, kept in step by observe(),
+     *  so a quantile read is one index. */
     std::vector<double> sorted_;
     size_t next_ = 0;
 };
@@ -100,6 +100,13 @@ class RuntimeModel : public sched::RuntimeEstimator
         double ema_per_iter_s = 0;
         uint64_t count = 0;
         ErrorQuantiles errors;
+        /** Cached at observe(), the only place the state changes:
+         *  whether the regression answers (regress mode, at least
+         *  sample_floor completions, solvable) and its coefficients,
+         *  and the safety factor predictions pad with. */
+        bool solved = false;
+        double coeff[3] = {0, 0, 0};
+        double safety = 0;
     };
 
     /** Interned (user, model) ids packed into one word when disabled,
@@ -120,8 +127,13 @@ class RuntimeModel : public sched::RuntimeEstimator
                          double per_iter) const;
     /** Raw (unbiased, uncapped) prediction in seconds for `iterations`
      *  iterations of the job; < 0 when no usable history exists. */
-    double raw_predict_s(const KeyState &state, const workload::Job &job,
-                         int64_t iterations) const;
+    static double raw_predict_s(const KeyState &state,
+                                const workload::Job &job,
+                                int64_t iterations);
+    /** A positive raw prediction padded by the key's safety and the
+     *  bias, capped by the job's limit. */
+    Duration padded(const KeyState &state, const workload::Job &job,
+                    double raw) const;
     /** Solves the decayed normal equations; false if ill-conditioned. */
     static bool solve(const KeyState &state, double coeff[3]);
 

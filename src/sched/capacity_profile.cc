@@ -6,10 +6,17 @@
 namespace tacc::sched {
 
 CapacityProfile::CapacityProfile(TimePoint now, int free_now)
-    : now_(now), horizon_(now + Duration::days(365))
 {
-    time_.push_back(now);
-    capacity_.push_back(free_now);
+    reset(now, free_now);
+}
+
+void
+CapacityProfile::reset(TimePoint now, int free_now)
+{
+    now_ = now;
+    horizon_ = now + Duration::days(365);
+    time_.assign(1, now);
+    capacity_.assign(1, free_now);
 }
 
 TimePoint

@@ -27,6 +27,10 @@ class CapacityProfile
      */
     CapacityProfile(TimePoint now, int free_now);
 
+    /** Restarts the timeline as the constructor would, keeping its
+     *  storage. */
+    void reset(TimePoint now, int free_now);
+
     /** Adds `gpus` of capacity from time t onward (a projected release). */
     void add_release(TimePoint t, int gpus);
 

@@ -45,6 +45,7 @@ LiveViews::LiveViews(const cluster::Cluster &cluster)
 void
 LiveViews::add_pending(workload::Job *job)
 {
+    ++version_;
     pending_.insert(std::upper_bound(pending_.begin(), pending_.end(), job,
                                      arrives_before),
                     job);
@@ -53,6 +54,7 @@ LiveViews::add_pending(workload::Job *job)
 void
 LiveViews::remove_pending(const workload::Job *job)
 {
+    ++version_;
     const auto it = std::lower_bound(pending_.begin(), pending_.end(), job,
                                      arrives_before);
     assert(it != pending_.end() && *it == job);
@@ -63,6 +65,7 @@ void
 LiveViews::add_running(workload::Job *job, cluster::Placement placement,
                        TimePoint expected_end)
 {
+    ++version_;
     const size_t gid = size_t(job->group_id());
     if (gid >= held_.size())
         held_.resize(gid + 1, 0);
@@ -76,6 +79,7 @@ LiveViews::add_running(workload::Job *job, cluster::Placement placement,
 void
 LiveViews::remove_running(cluster::JobId id)
 {
+    ++version_;
     const auto it =
         std::lower_bound(running_.begin(), running_.end(), id, id_below);
     assert(it != running_.end() && it->job->id() == id);

@@ -47,6 +47,9 @@ class LiveViews
 
     std::span<workload::Job *const> pending() const { return pending_; }
     std::span<const RunningInfo> running() const { return running_; }
+    /** Bumped by every add and remove: at an equal version the pending
+     *  and running views hold the same jobs, placements and ends. */
+    uint64_t version() const { return version_; }
 
     /**
      * Compares every view with its rebuild: pending order and states;
@@ -69,6 +72,7 @@ class LiveViews
     std::vector<int> held_;
     FreeView free_;
     uint64_t health_version_;
+    uint64_t version_ = 0;
 };
 
 } // namespace tacc::sched

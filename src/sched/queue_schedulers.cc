@@ -21,13 +21,19 @@ SjfScheduler::schedule(const SchedulerContext &ctx)
 {
     auto order = detail::pending_by_arrival(ctx);
     // Shortest estimated runtime first; arrival breaks ties via the
-    // stable sort over the arrival-ordered input.
-    std::stable_sort(
-        order.begin(), order.end(),
-        [&](const workload::Job *a, const workload::Job *b) {
-            return detail::runtime_bound(ctx, *a, use_estimates_) <
-                   detail::runtime_bound(ctx, *b, use_estimates_);
-        });
+    // stable sort over the arrival-ordered input. One bound per job,
+    // not two per comparison.
+    std::vector<std::pair<Duration, workload::Job *>> ranked;
+    ranked.reserve(order.size());
+    for (workload::Job *job : order)
+        ranked.emplace_back(detail::runtime_bound(ctx, *job, use_estimates_),
+                            job);
+    std::stable_sort(ranked.begin(), ranked.end(),
+                     [](const auto &a, const auto &b) {
+                         return a.first < b.first;
+                     });
+    for (size_t i = 0; i < ranked.size(); ++i)
+        order[i] = ranked[i].second;
     return detail::greedy(ctx, order, false);
 }
 

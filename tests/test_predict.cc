@@ -10,7 +10,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/rng.h"
@@ -218,6 +221,342 @@ TEST(RuntimeModel, KeysAreGroupAndModel)
     EXPECT_FALSE(
         model.has_history(completed_job(4, "groupA", "vgg19", 10, 1.0)));
     EXPECT_EQ(model.model_keys(), 1u);
+}
+
+/**
+ * The runtime model as it was before it cached its solve at observe():
+ * every prediction solves the key's normal equations and clamps its p95
+ * again. It also counts, in regress mode at or past the sample floor,
+ * the solves that failed and the keys whose solve went from failing to
+ * succeeding, so the stream can show it covered both.
+ */
+class ReferenceModel
+{
+  public:
+    explicit ReferenceModel(const PredictConfig &config) : config_(config)
+    {
+        config_.decay = std::clamp(config_.decay, 0.0, 0.999);
+        config_.sample_floor = std::max(1, config_.sample_floor);
+        config_.safety_min = std::max(1.0, config_.safety_min);
+        config_.safety_max = std::max(config_.safety_min, config_.safety_max);
+        if (!(config_.bias > 0))
+            config_.bias = 1.0;
+    }
+
+    void
+    observe(const workload::Job &job)
+    {
+        if (job.state() != workload::JobState::kCompleted ||
+            job.iterations_done() <= 0 || job.spec().gpus <= 0)
+            return;
+        const double per_iter = job.gpu_seconds() /
+                                double(job.spec().gpus) /
+                                double(job.iterations_done());
+        Key &key = keys_[key_of(job)];
+        if (config_.enabled) {
+            const double iters = double(job.iterations_done());
+            const double x2 = iters * double(job.spec().gpus);
+            const double y = per_iter * iters;
+            const double prior = raw_s(key, job, job.iterations_done());
+            if (prior > 0)
+                key.errors.observe(y / prior);
+            const double keep = 1.0 - config_.decay;
+            for (double &v : key.xtx)
+                v *= keep;
+            for (double &v : key.xty)
+                v *= keep;
+            key.xtx[0] += 1.0;
+            key.xtx[1] += iters;
+            key.xtx[2] += x2;
+            key.xtx[3] += iters * iters;
+            key.xtx[4] += iters * x2;
+            key.xtx[5] += x2 * x2;
+            key.xty[0] += y;
+            key.xty[1] += y * iters;
+            key.xty[2] += y * x2;
+        }
+        key.ema = key.count == 0 ? per_iter : 0.3 * per_iter + 0.7 * key.ema;
+        ++key.count;
+    }
+
+    bool has_history(const workload::Job &job) const
+    {
+        return history(job) != nullptr;
+    }
+
+    Duration
+    predict(const workload::Job &job) const
+    {
+        const Key *key = history(job);
+        if (key == nullptr)
+            return job.spec().time_limit;
+        if (!config_.enabled) {
+            return std::min(Duration::from_seconds(
+                                key->ema * double(job.spec().iterations) *
+                                1.25),
+                            job.spec().time_limit);
+        }
+        const double raw = raw_s(*key, job, job.spec().iterations);
+        if (raw <= 0)
+            return job.spec().time_limit;
+        return std::min(
+            Duration::from_seconds(raw * safety(*key) * config_.bias),
+            job.spec().time_limit);
+    }
+
+    Duration
+    predict_remaining(const workload::Job &job) const
+    {
+        const Key *key = history(job);
+        if (key == nullptr || !config_.enabled) {
+            const double frac =
+                job.spec().iterations > 0
+                    ? double(job.iterations_remaining()) /
+                          double(job.spec().iterations)
+                    : 0.0;
+            return Duration::from_seconds(predict(job).to_seconds() *
+                                          std::clamp(frac, 0.0, 1.0));
+        }
+        const double raw = raw_s(*key, job, job.iterations_remaining());
+        if (raw <= 0)
+            return Duration::zero();
+        return std::min(
+            Duration::from_seconds(raw * safety(*key) * config_.bias),
+            job.spec().time_limit);
+    }
+
+    double
+    key_p50(const workload::Job &job) const
+    {
+        auto it = keys_.find(key_of(job));
+        return it == keys_.end() ? 1.0 : it->second.errors.p50();
+    }
+
+    double
+    key_p95(const workload::Job &job) const
+    {
+        auto it = keys_.find(key_of(job));
+        return it == keys_.end() ? 1.0 : it->second.errors.p95();
+    }
+
+    mutable uint64_t solve_failures = 0;
+    mutable uint64_t solve_recoveries = 0;
+
+  private:
+    struct Key {
+        double xtx[6] = {0, 0, 0, 0, 0, 0};
+        double xty[3] = {0, 0, 0};
+        double ema = 0;
+        uint64_t count = 0;
+        ErrorQuantiles errors;
+        /** -1 before the first solve, else whether the last one worked. */
+        mutable int last_solve = -1;
+    };
+
+    uint64_t
+    key_of(const workload::Job &job) const
+    {
+        const int owner = config_.enabled ? job.group_id() : job.user_id();
+        return uint64_t(uint32_t(owner)) << 32 |
+               uint64_t(uint32_t(job.model_id()));
+    }
+
+    const Key *
+    history(const workload::Job &job) const
+    {
+        if (config_.enabled && config_.mode == EstimatorMode::kLimit)
+            return nullptr;
+        auto it = keys_.find(key_of(job));
+        return it != keys_.end() && it->second.count > 0 ? &it->second
+                                                         : nullptr;
+    }
+
+    double
+    safety(const Key &key) const
+    {
+        return config_.mode == EstimatorMode::kRegress
+                   ? std::clamp(key.errors.p95(), config_.safety_min,
+                                config_.safety_max)
+                   : 1.25;
+    }
+
+    static bool
+    solve(const Key &key, double coeff[3])
+    {
+        const double trace = key.xtx[0] + key.xtx[3] + key.xtx[5];
+        const double ridge = 1e-8 * trace + 1e-12;
+        const double a = key.xtx[0] + ridge;
+        const double b = key.xtx[1];
+        const double c = key.xtx[2];
+        const double d = key.xtx[3] + ridge;
+        const double e = key.xtx[4];
+        const double f = key.xtx[5] + ridge;
+        const double det = a * (d * f - e * e) - b * (b * f - c * e) +
+                           c * (b * e - c * d);
+        if (!std::isfinite(det) || std::abs(det) <= 1e-12 * (trace + 1.0))
+            return false;
+        const double y0 = key.xty[0];
+        const double y1 = key.xty[1];
+        const double y2 = key.xty[2];
+        coeff[0] = (y0 * (d * f - e * e) - b * (y1 * f - y2 * e) +
+                    c * (y1 * e - y2 * d)) /
+                   det;
+        coeff[1] = (a * (y1 * f - y2 * e) - y0 * (b * f - c * e) +
+                    c * (b * y2 - c * y1)) /
+                   det;
+        coeff[2] = (a * (d * y2 - e * y1) - b * (b * y2 - c * y1) +
+                    y0 * (b * e - c * d)) /
+                   det;
+        return std::isfinite(coeff[0]) && std::isfinite(coeff[1]) &&
+               std::isfinite(coeff[2]);
+    }
+
+    double
+    raw_s(const Key &key, const workload::Job &job, int64_t iterations) const
+    {
+        if (key.count == 0 || iterations <= 0)
+            return -1.0;
+        const double iters = double(iterations);
+        if (config_.mode == EstimatorMode::kRegress &&
+            key.count >= uint64_t(config_.sample_floor)) {
+            double coeff[3];
+            const bool ok = solve(key, coeff);
+            solve_failures += !ok;
+            solve_recoveries += ok && key.last_solve == 0;
+            key.last_solve = ok;
+            if (ok) {
+                const double pred =
+                    coeff[0] + coeff[1] * iters +
+                    coeff[2] * iters * double(job.spec().gpus);
+                if (std::isfinite(pred) && pred > 0)
+                    return pred;
+            }
+        }
+        return key.ema * iters;
+    }
+
+    PredictConfig config_;
+    std::unordered_map<uint64_t, Key> keys_;
+};
+
+/**
+ * One job of the cache test's stream, on one of six (group, model)
+ * keys with users spread across groups. Group "gC" starts as a
+ * degenerate key, every job 2 iterations on 1 GPU (one point, so the
+ * solve fails until enough weight piles up, and always at high decay),
+ * and turns into a well-spread key once `spread`. Group "gB" is
+ * collinear: one GPU count. `complete` finishes the job (an
+ * observation); otherwise it is left pending after a partial segment,
+ * a probe for predict_remaining.
+ */
+workload::Job
+stream_job(Rng &rng, cluster::JobId id, bool complete, bool spread)
+{
+    static const char *const kGroups[] = {"gA", "gB", "gC"};
+    static const char *const kModels[] = {"resnet50", "vgg19"};
+    const int group = int(rng.uniform_int(0, 2));
+    workload::TaskSpec spec;
+    spec.name = "c" + std::to_string(id);
+    spec.user = "u" + std::to_string(rng.uniform_int(0, 3));
+    spec.group = kGroups[group];
+    spec.model = kModels[rng.uniform_int(0, 1)];
+    spec.gpus = group == 1 ? 4 : int(rng.uniform_int(1, 8));
+    spec.iterations = rng.uniform_int(1, 4000);
+    if (group == 2 && !spread) {
+        spec.gpus = 1;
+        spec.iterations = 2;
+    }
+    spec.time_limit = Duration::from_seconds(
+        60.0 * std::exp(rng.uniform(0.0, std::log(3000.0))));
+    auto profile = workload::ModelCatalog::instance().find(spec.model);
+    workload::Job job(id, spec, profile.value(), TimePoint::origin());
+    EXPECT_TRUE(job.begin_provisioning(TimePoint::origin()).is_ok());
+    EXPECT_TRUE(job.finish_provisioning(TimePoint::origin()).is_ok());
+    const double iter_s = (0.2 + 0.3 * group + 0.05 * spec.gpus) *
+                          rng.uniform(0.7, 1.4);
+    EXPECT_TRUE(
+        job.begin_segment(TimePoint::origin(), spec.gpus, iter_s).is_ok());
+    if (complete) {
+        EXPECT_TRUE(
+            job.complete(TimePoint::origin() +
+                         job.remaining_runtime(iter_s))
+                .is_ok());
+    } else {
+        EXPECT_TRUE(job.preempt(TimePoint::origin() +
+                                Duration::from_seconds(
+                                    iter_s * double(spec.iterations) *
+                                    rng.uniform()))
+                        .is_ok());
+    }
+    return job;
+}
+
+uint64_t
+bits(double v)
+{
+    return std::bit_cast<uint64_t>(v);
+}
+
+TEST(RuntimeModel, CachedSolveMatchesPerCallReference)
+{
+    struct Case {
+        bool enabled;
+        EstimatorMode mode;
+        double decay;
+        int floor;
+        double bias;
+        double safety_max;
+    };
+    const Case cases[] = {
+        {false, EstimatorMode::kRegress, 0.5, 2, 2.0, 2.5},
+        {true, EstimatorMode::kLimit, 0.0, 1, 1.0, 2.5},
+        {true, EstimatorMode::kEma, 0.0, 3, 1.5, 2.5},
+        {true, EstimatorMode::kRegress, 0.0, 1, 1.0, 2.5},
+        {true, EstimatorMode::kRegress, 0.0, 8, 0.7, 1.5},
+        {true, EstimatorMode::kRegress, 0.999, 3, 1.0, 2.5},
+        {true, EstimatorMode::kRegress, 0.999, 1, 2.0, 4.0},
+    };
+    uint64_t failures = 0, recoveries = 0;
+    for (const Case &c : cases) {
+        PredictConfig config;
+        config.enabled = c.enabled;
+        config.mode = c.mode;
+        config.decay = c.decay;
+        config.sample_floor = c.floor;
+        config.bias = c.bias;
+        config.safety_max = c.safety_max;
+        for (uint64_t seed : {1u, 2u}) {
+            Rng rng(seed);
+            RuntimeModel model(config);
+            ReferenceModel reference(config);
+            cluster::JobId id = 1;
+            for (int step = 0; step < 600; ++step) {
+                const bool spread = step >= 300;
+                const auto done = stream_job(rng, id++, true, spread);
+                model.observe(done);
+                reference.observe(done);
+                for (int probe = 0; probe < 4; ++probe) {
+                    const auto job = stream_job(rng, id++, false, spread);
+                    ASSERT_EQ(model.has_history(job),
+                              reference.has_history(job));
+                    ASSERT_EQ(model.predict(job), reference.predict(job))
+                        << "step " << step;
+                    ASSERT_EQ(model.predict_remaining(job),
+                              reference.predict_remaining(job))
+                        << "step " << step;
+                    ASSERT_EQ(bits(model.key_p50(job)),
+                              bits(reference.key_p50(job)));
+                    ASSERT_EQ(bits(model.key_p95(job)),
+                              bits(reference.key_p95(job)));
+                }
+            }
+            failures += reference.solve_failures;
+            recoveries += reference.solve_recoveries;
+        }
+    }
+    // The streams reach both sides of a failing solve.
+    EXPECT_GT(failures, 0u);
+    EXPECT_GT(recoveries, 0u);
 }
 
 TEST(ErrorQuantiles, ScaleEquivariantAndOrdered)
