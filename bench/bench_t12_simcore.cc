@@ -17,7 +17,10 @@
  *    and 64 MiB chunks, where every resident plan moves as one LRU run;
  *  - the deep-queue read paths: a tcloud reader's 8 status ETAs at one
  *    stack state (one arrival-order walk, then table reads), and one
- *    runtime prediction from a warm regress key.
+ *    runtime prediction from a warm regress key;
+ *  - the ops layer per sample instant: inside a quiet run of instants
+ *    (one pass for the run) and alone (one pass per instant, the path
+ *    of an instant that follows an event).
  *
  * Run with --benchmark_format=json to emit the machine-readable series
  * recorded in EXPERIMENTS.md (baseline vs. optimized engine).
@@ -32,6 +35,7 @@
 #include "compiler/compiler.h"
 #include "core/scenario.h"
 #include "core/stack.h"
+#include "ops/ops_center.h"
 #include "predict/runtime_model.h"
 #include "sim/simulator.h"
 #include "workload/model.h"
@@ -285,6 +289,78 @@ BM_EstimatedStart(benchmark::State &state)
 }
 BENCHMARK(BM_EstimatedStart)->Arg(64)->Arg(600)
     ->Unit(benchmark::kMicrosecond);
+
+/**
+ * The reference stack with ops on and the default 24 series and 9
+ * rules: six short jobs, one per group, finish and are charged (six
+ * group-share series beside the stack's 18), then 32 long jobs fill
+ * the cluster and 16 more wait behind them.
+ */
+std::unique_ptr<core::TaccStack>
+ops_stack()
+{
+    auto stack = std::make_unique<core::TaccStack>(bench::default_stack());
+    workload::TaskSpec spec = trace_spec();
+    spec.gpus = 8;
+    for (int i = 0; i < 6; ++i) {
+        spec.group = "group" + std::to_string(i);
+        (void)stack->submit(spec);
+    }
+    stack->run_until(stack->simulator().now() + Duration::days(1));
+    spec.iterations = 1'000'000'000;
+    spec.time_limit = Duration::days(30);
+    for (int i = 0; i < 48; ++i) {
+        spec.group = "group" + std::to_string(i % 6);
+        (void)stack->submit(spec);
+    }
+    stack->run_until(stack->simulator().now() + Duration::hours(1));
+    return stack;
+}
+
+/**
+ * Ops cost per sample instant when range(0) instants pass with no event
+ * between them: one sample_run pass for the whole run, as the stack's
+ * run loops give it (items = instants).
+ */
+void
+BM_OpsQuietGap(benchmark::State &state)
+{
+    auto stack = ops_stack();
+    ops::OpsCenter &ops = *stack->ops();
+    if (ops.store().series_count() != 24 || ops.alerts().rule_count() != 9) {
+        state.SkipWithError("expected 24 series and 9 rules");
+        return;
+    }
+    const size_t k = size_t(state.range(0));
+    const Duration period = ops.config().sample_period;
+    TimePoint t = stack->simulator().now() + period;
+    for (auto _ : state) {
+        ops.sample_run(t, k);
+        benchmark::DoNotOptimize(&ops);
+        benchmark::ClobberMemory();
+        t += int64_t(k) * period;
+    }
+    state.SetItemsProcessed(state.iterations() * int64_t(k));
+}
+BENCHMARK(BM_OpsQuietGap)->Arg(29)->Unit(benchmark::kMicrosecond);
+
+/** The one-instant path: a sample instant with an event on each side. */
+void
+BM_OpsBusySample(benchmark::State &state)
+{
+    auto stack = ops_stack();
+    ops::OpsCenter &ops = *stack->ops();
+    const Duration period = ops.config().sample_period;
+    TimePoint t = stack->simulator().now() + period;
+    for (auto _ : state) {
+        ops.sample_run(t, 1);
+        benchmark::DoNotOptimize(&ops);
+        benchmark::ClobberMemory();
+        t += period;
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_OpsBusySample)->Unit(benchmark::kMicrosecond);
 
 /** One runtime prediction from a warm regress key (64 completions). */
 void

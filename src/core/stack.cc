@@ -123,6 +123,9 @@ TaccStack::wire_ops()
 {
     ops_ = std::make_unique<ops::OpsCenter>(config_.ops);
     namespace series = ops::series;
+    // Sources that read stack state only (see ops::Reads); the others
+    // read the sample instant or keep state between calls.
+    using enum ops::Reads;
 
     // Gauges: live cluster state, read at each sample instant. The
     // fragmentation gauge is a sample's one pass over the nodes; the
@@ -131,13 +134,13 @@ TaccStack::wire_ops()
         const int total = cluster_.total_gpus();
         return total > 0 ? double(cluster_.used_gpus()) / double(total)
                          : 0.0;
-    });
+    }, kState);
     ops_->add_gauge_source(series::kFragmentation, [this](TimePoint) {
         return cluster_.occupancy().fragmentation;
-    });
+    }, kState);
     ops_->add_gauge_source(series::kQueueDepth, [this](TimePoint) {
         return double(pending_count());
-    });
+    }, kState);
     ops_->add_gauge_source(series::kQueueOldestWait, [this](TimePoint now) {
         const auto pending = views_.pending();
         if (pending.empty())
@@ -147,62 +150,63 @@ TaccStack::wire_ops()
     });
     ops_->add_gauge_source(series::kRunningJobs, [this](TimePoint) {
         return double(running_count());
-    });
+    }, kState);
     ops_->add_gauge_source(series::kCrossRackJobs, [this](TimePoint) {
         return double(engine_.cross_rack_jobs());
-    });
+    }, kState);
     ops_->add_gauge_source(series::kNodesHealthy, [this](TimePoint) {
         return double(
             cluster_.health().count(cluster::NodeHealth::kHealthy));
-    });
+    }, kState);
     ops_->add_gauge_source(series::kNodesDegraded, [this](TimePoint) {
         return double(
             cluster_.health().count(cluster::NodeHealth::kDegraded));
-    });
+    }, kState);
     ops_->add_gauge_source(series::kNodesDown, [this](TimePoint) {
         return double(cluster_.health().count(cluster::NodeHealth::kDown));
-    });
+    }, kState);
     ops_->add_gauge_source(series::kSchedulableCapacity, [this](TimePoint) {
         const int total = cluster_.total_gpus();
         return total > 0
                    ? double(cluster_.schedulable_total_gpus()) /
                          double(total)
                    : 0.0;
-    });
+    }, kState);
 
     // Counters: monotone totals; alert rules consume them as rates.
     ops_->add_counter_source(series::kCompletedJobs, [this](TimePoint) {
         return double(metrics_.completed_count());
-    });
+    }, kState);
     ops_->add_counter_source(series::kFailedJobs, [this](TimePoint) {
         return double(metrics_.failed_count());
-    });
+    }, kState);
     ops_->add_counter_source(series::kPreemptions, [this](TimePoint) {
         return double(metrics_.preemptions());
-    });
+    }, kState);
     ops_->add_counter_source(series::kDeadlineMisses, [this](TimePoint) {
         return double(metrics_.deadline_missed_count());
-    });
+    }, kState);
     ops_->add_counter_source(series::kSegmentFailures, [this](TimePoint) {
         return double(metrics_.segment_failures());
-    });
+    }, kState);
     ops_->add_counter_source(series::kNodeFaults, [this](TimePoint) {
         return double(metrics_.node_faults());
-    });
+    }, kState);
     ops_->add_counter_source(series::kFaultLostGpuSeconds, [this](TimePoint) {
         return metrics_.fault_lost_gpu_seconds();
-    });
+    }, kState);
     ops_->add_counter_source(series::kMonitorLines, [this](TimePoint) {
         return double(monitor_.total_emitted());
-    });
+    }, kState);
 
     // Power & energy: draw/headroom gauges, the kWh meter, and cap
     // alerting. The energy source advances the ledger first — a pure
     // integration of already-decided draw, so sampling cannot perturb
     // scheduling (the telemetry invariant the ops layer guarantees).
     if (power_) {
-        ops_->add_gauge_source(series::kPowerDrawW,
-                               [this](TimePoint) { return power_->draw_w(); });
+        ops_->add_gauge_source(series::kPowerDrawW, [this](TimePoint) {
+            return power_->draw_w();
+        }, kState);
         ops_->add_counter_source(series::kPowerEnergyKwh,
                                  [this](TimePoint now) {
                                      power_->advance(now);
@@ -210,15 +214,15 @@ TaccStack::wire_ops()
                                  });
         ops_->add_counter_source(series::kPowerDeferrals, [this](TimePoint) {
             return double(power_->deferrals());
-        });
+        }, kState);
         ops_->add_counter_source(series::kPowerDvfsStarts, [this](TimePoint) {
             return double(power_->dvfs_starts());
-        });
+        }, kState);
         const double cap = config_.power.cluster_cap_w;
         if (cap > 0) {
             ops_->add_gauge_source(series::kPowerHeadroomW, [this](TimePoint) {
                 return power_->cluster_headroom_w();
-            });
+            }, kState);
             ops::AlertRule breach;
             breach.name = "power-cap-breach";
             breach.series = series::kPowerDrawW;
@@ -252,28 +256,28 @@ TaccStack::wire_ops()
     if (serve_plane_) {
         ops_->add_counter_source(series::kServeRequests, [this](TimePoint) {
             return double(serve_plane_->counters().requests);
-        });
+        }, kState);
         ops_->add_counter_source(series::kServeGoodput, [this](TimePoint) {
             return double(serve_plane_->counters().ok);
-        });
+        }, kState);
         ops_->add_counter_source(series::kServeShed, [this](TimePoint) {
             return double(serve_plane_->counters().shed);
-        });
+        }, kState);
         ops_->add_counter_source(series::kServeDegraded, [this](TimePoint) {
             return double(serve_plane_->counters().degraded);
-        });
+        }, kState);
         ops_->add_counter_source(series::kServeRetries, [this](TimePoint) {
             return double(serve_plane_->counters().retries);
-        });
+        }, kState);
         ops_->add_counter_source(series::kServeBreakerTrips, [this](TimePoint) {
             return double(serve_plane_->counters().breaker_trips);
-        });
+        }, kState);
         ops_->add_gauge_source(series::kServeReplicasUp, [this](TimePoint) {
             return double(serve_plane_->replicas_up());
-        });
+        }, kState);
         ops_->add_gauge_source(series::kServeQueueDepth, [this](TimePoint) {
             return double(serve_plane_->queue_depth());
-        });
+        }, kState);
         // Windowed attainment: in-SLO completions over resolved
         // requests since the previous sample (1.0 when idle).
         ops_->add_gauge_source(
@@ -332,18 +336,19 @@ TaccStack::wire_ops()
     // Per-tenant fair-share usage: one gauge per group. One pass over
     // the tracker sums the total in its own order (bit-identical to
     // total_usage) and keeps each group's usage by slot; the shares are
-    // then recorded through series ids cached by slot. Groups are given
-    // their series as they first appear, in name order.
+    // then read out under series ids cached by slot, and the ops center
+    // records them. Groups are given their series as they first appear,
+    // in name order.
     ops_->add_multi_source(
         [this, ids = std::vector<ops::SeriesId>(),
-         used = std::vector<double>()](ops::OpsCenter &center,
-                                       TimePoint now) mutable {
+         used = std::vector<double>()](
+            ops::MetricStore &store, TimePoint now,
+            std::vector<ops::OpsCenter::Reading> &out) mutable {
             used.resize(usage_.key_count());
             const double total = usage_.for_each_usage(
                 now, [&used](size_t slot, double v) { used[slot] = v; });
             if (total <= 0)
                 return;
-            ops::MetricStore &store = center.store();
             if (ids.size() < used.size()) {
                 std::vector<size_t> fresh(used.size() - ids.size());
                 std::iota(fresh.begin(), fresh.end(), ids.size());
@@ -359,13 +364,25 @@ TaccStack::wire_ops()
                 }
             }
             for (size_t slot = 0; slot < used.size(); ++slot)
-                store.record(ids[slot], now, used[slot] / total);
+                out.push_back({ids[slot], used[slot] / total});
         });
 
     // Sampled by the simulator's pre-fire watch: every sample_period,
     // where a periodic task would fire, but with no event per sample.
-    sim_.set_watch(config_.ops.sample_period,
-                   [this](TimePoint now) { ops_->sample(now); });
+    // Inside the stack's own run loops the first instant of a quiet run
+    // records the whole run, and the run's later instants only advance
+    // the clock; an outside caller stepping the simulator gets one
+    // instant per step, so nothing is recorded ahead of a point where
+    // it can read or change the stack.
+    sim_.set_watch(config_.ops.sample_period, [this](TimePoint now) {
+        if (now <= ops_recorded_until_)
+            return;
+        const size_t k =
+            ops_run_bound_ ? sim_.quiet_instants(*ops_run_bound_) : 1;
+        ops_->sample_run(now, k);
+        ops_recorded_until_ =
+            now + int64_t(k - 1) * config_.ops.sample_period;
+    });
 }
 
 TaccStack::~TaccStack() = default;
@@ -592,17 +609,25 @@ TaccStack::quiescent() const
 void
 TaccStack::run_until(TimePoint t)
 {
+    ops_run_bound_ = t;
     sim_.run_until(t);
+    ops_run_bound_.reset();
 }
 
 bool
 TaccStack::run_to_completion(uint64_t max_events)
 {
+    // Quiescence and the event cap can only change at an event, so the
+    // loop never stops inside a quiet run: it has stepped every instant
+    // a run recorded.
+    ops_run_bound_ = TimePoint::max();
     const uint64_t first = sim_.processed();
     while (!quiescent() && sim_.processed() - first < max_events) {
         if (!sim_.step())
             break;
     }
+    ops_run_bound_.reset();
+    assert(sim_.now() >= ops_recorded_until_);
     if (tick_)
         tick_->stop();
     if (ops_) {

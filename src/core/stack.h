@@ -20,6 +20,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -424,6 +425,14 @@ class TaccStack
         uint64_t walks = 0;
     };
     mutable EtaWalk eta_;
+    /** @name Ops sampling in quiet runs (see wire_ops) */
+    ///@{
+    /** The bound of the stack's run loop that is stepping (run_until's
+     *  t, or max), unset while an outside caller steps the simulator. */
+    std::optional<TimePoint> ops_run_bound_;
+    /** The last sample instant a quiet run already recorded. */
+    TimePoint ops_recorded_until_ = TimePoint::origin();
+    ///@}
 };
 
 } // namespace tacc::core

@@ -38,6 +38,7 @@ AlertEngine::bind(const MetricStore &store)
         }
         if (state.series == kInvalidSeries)
             state.series = store.find(rules_[i].series);
+        state.settled = kUnsettled;
     }
     bound_store_ = &store;
     bound_series_ = store.series_count();
@@ -52,10 +53,7 @@ AlertEngine::aggregate(const AlertRule &rule, RuleState &state,
         return std::nullopt;
     switch (rule.agg) {
       case AlertRule::Agg::kLast: {
-        const auto sample = store.latest(id);
-        if (!sample)
-            return std::nullopt;
-        return sample->v;
+        return store.value_at(id, now, &state.window_hint);
       }
       case AlertRule::Agg::kMean:
         // No data in the window -> inert, not "mean of nothing is 0".
@@ -69,13 +67,38 @@ AlertEngine::aggregate(const AlertRule &rule, RuleState &state,
     return std::nullopt;
 }
 
+namespace {
+
+/** True if a rule's value read at now holds at every later instant
+ *  until its series records again (see RuleState::settled). */
+bool
+holds(const AlertRule &rule, const MetricStore &store, SeriesId id,
+      TimePoint now)
+{
+    switch (rule.agg) {
+      case AlertRule::Agg::kLast: return store.settled_at(id, now);
+      case AlertRule::Agg::kRate:
+        return store.settled_at(id, now - rule.window);
+      case AlertRule::Agg::kMean:
+        // The window's sample count may still change; not tracked.
+        return false;
+    }
+    return false;
+}
+
+} // namespace
+
 void
-AlertEngine::evaluate(const MetricStore &store, TimePoint now)
+AlertEngine::evaluate(const MetricStore &store, TimePoint now,
+                      bool recorded_ahead)
 {
     bind(store);
     for (size_t i = 0; i < rules_.size(); ++i) {
         const AlertRule &rule = rules_[i];
         RuleState &state = states_[i];
+        if (state.settled != kUnsettled &&
+            state.settled == store.samples_recorded(state.series))
+            continue;
 
         const auto value = aggregate(rule, state, store, now);
         const bool condition =
@@ -115,6 +138,33 @@ AlertEngine::evaluate(const MetricStore &store, TimePoint now)
                 }
             }
         }
+        state.settled = recorded_ahead && value &&
+                                condition == state.firing &&
+                                holds(rule, store, state.series, now)
+                            ? store.samples_recorded(state.series)
+                            : kUnsettled;
+    }
+}
+
+void
+AlertEngine::hold_back(const MetricStore &store, TimePoint first,
+                       Duration step, size_t k,
+                       std::span<const uint32_t> samples,
+                       std::span<uint8_t> held)
+{
+    bind(store);
+    for (size_t i = 0; i < rules_.size(); ++i) {
+        const SeriesId id = states_[i].series;
+        if (id == kInvalidSeries)
+            continue;
+        const uint32_t n = samples[size_t(id)];
+        const AlertRule &rule = rules_[i];
+        if (n != 0 &&
+            (n != k ||
+             (rule.agg != AlertRule::Agg::kLast &&
+              !store.answers_as_of(id, first, step, k, rule.window,
+                                   rule.agg == AlertRule::Agg::kMean))))
+            held[size_t(id)] = 1;
     }
 }
 

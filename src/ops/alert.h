@@ -18,7 +18,9 @@
  */
 #pragma once
 
+#include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -81,8 +83,28 @@ class AlertEngine
      * Evaluates every rule at time now (must be non-decreasing across
      * calls). Called once per collector sample. Rules bind to the
      * store's series ids; evaluating a different store rebinds them.
+     * `recorded_ahead` says the store may already hold samples after
+     * now (a run was recorded before its instants are evaluated): only
+     * then can a rule settle until its series records again
+     * (RuleState::settled), so only then is that worked out.
      */
-    void evaluate(const MetricStore &store, TimePoint now);
+    void evaluate(const MetricStore &store, TimePoint now,
+                  bool recorded_ahead = false);
+
+    /**
+     * For a run of k instants at first, first + step, ... whose other
+     * samples are all recorded before the rules are evaluated at its
+     * first instant: sets held[id] for each series a rule reads that
+     * must instead be recorded instant by instant, just before each
+     * evaluation, for the rule to read what it would have read then.
+     * `samples[id]` is how many samples series id gets in the run; a
+     * read series is held unless it gets none, or one per instant and
+     * every rule on it answers as of each instant
+     * (MetricStore::answers_as_of). Binds the rules to `store`.
+     */
+    void hold_back(const MetricStore &store, TimePoint first, Duration step,
+                   size_t k, std::span<const uint32_t> samples,
+                   std::span<uint8_t> held);
 
     /** True if the named rule is currently firing. */
     bool is_firing(const std::string &rule) const;
@@ -95,22 +117,39 @@ class AlertEngine
 
     size_t active_count() const;
 
-  private:
-    struct RuleState {
+    /** A rule's hysteresis state. */
+    struct RuleStatus {
         /** First evaluation time of the current uninterrupted
          *  condition-true run; unset when the condition is clear. */
         std::optional<TimePoint> true_since;
         /** First evaluation time of the current clear run while firing. */
         std::optional<TimePoint> clear_since;
         bool firing = false;
+        /** Most extreme value of the current condition-true run. */
+        double peak = 0;
+    };
+
+    /** The state of rules()[i]. */
+    const RuleStatus &status(size_t i) const { return states_[i]; }
+
+  private:
+    struct RuleState : RuleStatus {
         /** Index into incidents_ of the active incident. */
         size_t incident = 0;
-        double peak = 0;
         /** The rule's series in the bound store, once defined. */
         SeriesId series = kInvalidSeries;
         /** Where the rule's window started at the last evaluation. */
         MetricStore::WindowHint window_hint;
+        /**
+         * The series' samples_recorded() when the rule settled: its
+         * value holds at every later instant until the series records
+         * again, in a state such an instant leaves unchanged (firing
+         * on a true condition, or quiet on a false one). kUnsettled
+         * otherwise, and always outside a run recorded ahead.
+         */
+        uint64_t settled = kUnsettled;
     };
+    static constexpr uint64_t kUnsettled = ~uint64_t(0);
 
     /** Binds unbound rules to series defined since the last call. */
     void bind(const MetricStore &store);

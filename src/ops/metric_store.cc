@@ -1,7 +1,9 @@
 #include "ops/metric_store.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
+#include <cstdint>
 
 namespace tacc::ops {
 
@@ -75,22 +77,28 @@ raw_at_or_before(const MetricRing<MetricSample> &raw, TimePoint t,
         raw, [t](const MetricSample &x) { return x.t <= t; }, guess);
 }
 
-/** The raw-ring position a window hint guesses. */
+/**
+ * The raw-ring position of the sample after absolute index `abs`, where
+ * `recorded` samples were ever recorded: a hint's guess that the window
+ * moved one sample on. Out-of-ring guesses come back as positions the
+ * search rejects.
+ */
 size_t
-hinted(const MetricRing<MetricSample> &raw,
-       const MetricStore::WindowHint *hint)
+next_position(uint64_t abs, uint64_t recorded, size_t size)
 {
-    return hint ? raw.size() - std::min(hint->newer, raw.size()) : 0;
+    const uint64_t base = recorded - size;
+    return abs + 1 >= base ? size_t(abs + 1 - base) : 0;
 }
 
 /** Raw samples with t in [t0, t1]. */
 Window
 raw_window(const MetricRing<MetricSample> &raw, TimePoint t0, TimePoint t1,
-           size_t first_guess = 0)
+           size_t first_guess = 0, size_t last_guess = SIZE_MAX)
 {
     const size_t first = count_prefix(
         raw, [t0](const MetricSample &x) { return x.t < t0; }, first_guess);
-    const size_t last = raw_at_or_before(raw, t1, raw.size());
+    const size_t last = raw_at_or_before(
+        raw, t1, last_guess == SIZE_MAX ? raw.size() : last_guess);
     return Window{first, std::max(first, last)};
 }
 
@@ -106,6 +114,65 @@ rollup_window(const MetricRing<RollupPoint> &ring, Duration width,
         ring, [t1](const RollupPoint &p) { return p.start <= t1; });
     return Window{first, std::max(first, last)};
 }
+
+/**
+ * One resolution's open rollup bucket, held in locals while a run of
+ * samples is folded: a sample before its end belongs to it; a later one
+ * flushes it to the closed ring and opens its own bucket (the next one,
+ * or else a division finds its start).
+ */
+class OpenBucket
+{
+  public:
+    OpenBucket(const RollupPoint &p, bool open, Duration width)
+        : start_(p.start), lo_(p.min), hi_(p.max), sum_(p.sum),
+          last_(p.last), count_(p.count), open_(open),
+          end_(open ? p.start + width : TimePoint::origin()), width_(width)
+    {
+    }
+
+    void
+    add(MetricRing<RollupPoint> &closed, TimePoint t, double x)
+    {
+        // Samples are never before the origin, so a closed bucket (end_
+        // at the origin) opens at the first one.
+        if (t < end_) {
+            lo_ = std::min(lo_, x);
+            hi_ = std::max(hi_, x);
+            sum_ += x;
+            last_ = x;
+            ++count_;
+            return;
+        }
+        const TimePoint start =
+            open_ && t < end_ + width_ ? end_ : bucket_start(t, width_);
+        if (open_)
+            closed.push(RollupPoint{start_, lo_, hi_, sum_, last_, count_});
+        start_ = start;
+        end_ = start + width_;
+        lo_ = hi_ = sum_ = last_ = x;
+        count_ = 1;
+        open_ = true;
+    }
+
+    void
+    store(RollupPoint &p, bool &open) const
+    {
+        p = RollupPoint{start_, lo_, hi_, sum_, last_, count_};
+        open = open_;
+    }
+
+  private:
+    TimePoint start_;
+    double lo_;
+    double hi_;
+    double sum_;
+    double last_;
+    uint64_t count_;
+    bool open_;
+    TimePoint end_;
+    Duration width_;
+};
 
 /** True if a bucket of the given width intersects [t0, t1]. */
 bool
@@ -145,13 +212,6 @@ MetricStore::find(const std::string &name) const
     return it == index_.end() ? kInvalidSeries : it->second;
 }
 
-const MetricStore::Series &
-MetricStore::series_at(SeriesId id) const
-{
-    assert(id >= 0 && size_t(id) < series_.size());
-    return series_[size_t(id)];
-}
-
 const std::string &
 MetricStore::name_of(SeriesId id) const
 {
@@ -176,36 +236,63 @@ MetricStore::names() const
 }
 
 void
-MetricStore::fold(MetricRing<RollupPoint> &closed, RollupPoint &open,
-                  bool &is_open, Duration bucket, TimePoint t, double v)
-{
-    // Samples arrive in time order, so one before the open bucket's end
-    // belongs to it: the bucket start (a division) is computed only
-    // when a new bucket opens.
-    if (is_open && t < open.start + bucket) {
-        open.min = std::min(open.min, v);
-        open.max = std::max(open.max, v);
-        open.sum += v;
-        open.last = v;
-        ++open.count;
-        return;
-    }
-    if (is_open)
-        closed.push(open);
-    open = RollupPoint{bucket_start(t, bucket), v, v, v, v, 1};
-    is_open = true;
-}
-
-void
 MetricStore::record(SeriesId id, TimePoint t, double v)
 {
     assert(id >= 0 && size_t(id) < series_.size());
     Series &s = series_[size_t(id)];
     assert(t >= TimePoint::origin());
     assert(s.raw.empty() || t >= s.raw.back().t);
+    // A new stretch starts at a sample whose bits differ from the
+    // sample before it.
+    if (s.raw.empty() || std::bit_cast<uint64_t>(v) !=
+                             std::bit_cast<uint64_t>(s.raw.back().v))
+        s.stretch_since = t;
     s.raw.push(MetricSample{t, v});
-    fold(s.minutes, s.open_minute, s.minute_open, kMinute, t, v);
-    fold(s.hours, s.open_hour, s.hour_open, kHour, t, v);
+    ++s.recorded;
+    OpenBucket minute(s.open_minute, s.minute_open, kMinute);
+    minute.add(s.minutes, t, v);
+    minute.store(s.open_minute, s.minute_open);
+    OpenBucket hour(s.open_hour, s.hour_open, kHour);
+    hour.add(s.hours, t, v);
+    hour.store(s.open_hour, s.hour_open);
+}
+
+void
+MetricStore::record_run(SeriesId id, TimePoint first, Duration step,
+                        std::span<const double> v)
+{
+    assert(id >= 0 && size_t(id) < series_.size());
+    assert(!step.is_negative());
+    Series &s = series_[size_t(id)];
+    assert(first >= TimePoint::origin());
+    assert(s.raw.empty() || first >= s.raw.back().t);
+    if (v.empty())
+        return;
+    uint64_t prev = s.raw.empty() ? ~std::bit_cast<uint64_t>(v[0])
+                                  : std::bit_cast<uint64_t>(s.raw.back().v);
+    for (size_t i = 0; i < v.size(); ++i) {
+        const uint64_t bits = std::bit_cast<uint64_t>(v[i]);
+        if (bits != prev) {
+            s.stretch_since = first + int64_t(i) * step;
+            prev = bits;
+        }
+    }
+    s.raw.push_n(v.size(), [first, step, v](size_t i) {
+        return MetricSample{first + int64_t(i) * step, v[i]};
+    });
+    s.recorded += v.size();
+    // Both rollups in one pass over the run, their open buckets in
+    // locals: each bucket's adds happen in sample order, as record()
+    // makes them.
+    OpenBucket minute(s.open_minute, s.minute_open, kMinute);
+    OpenBucket hour(s.open_hour, s.hour_open, kHour);
+    for (size_t i = 0; i < v.size(); ++i) {
+        const TimePoint t = first + int64_t(i) * step;
+        minute.add(s.minutes, t, v[i]);
+        hour.add(s.hours, t, v[i]);
+    }
+    minute.store(s.open_minute, s.minute_open);
+    hour.store(s.open_hour, s.hour_open);
 }
 
 std::optional<MetricSample>
@@ -215,6 +302,49 @@ MetricStore::latest(SeriesId id) const
     if (s.raw.empty())
         return std::nullopt;
     return s.raw.back();
+}
+
+std::optional<double>
+MetricStore::value_at(SeriesId id, TimePoint t, WindowHint *hint) const
+{
+    const Series &s = series_at(id);
+    const size_t n = s.raw.size();
+    if (hint && settled_at(id, t))
+        return s.raw.back().v;
+    const size_t at = raw_at_or_before(
+        s.raw, t, hint ? next_position(hint->end, s.recorded, n) : n);
+    if (hint)
+        hint->end = s.recorded - n + at;
+    if (at == 0)
+        return std::nullopt;
+    return s.raw.at(at - 1).v;
+}
+
+bool
+MetricStore::answers_as_of(SeriesId id, TimePoint first, Duration step,
+                           size_t k, Duration window, bool mean) const
+{
+    const Series &s = series_at(id);
+    if (k == 0)
+        return true;
+    assert(k <= config_.raw_capacity);
+    // The oldest sample the raw ring holds once the run is recorded.
+    const size_t n = s.raw.size();
+    const bool evicts = n + k > config_.raw_capacity;
+    TimePoint oldest = n > 0 ? s.raw.at(0).t : first;
+    if (evicts) {
+        const size_t e = n + k - config_.raw_capacity;
+        oldest = e < n ? s.raw.at(e).t : first + int64_t(e - n) * step;
+    }
+    // Strictly before the first window's start: every sample from that
+    // start on is retained, duplicate timestamps included, and a mean
+    // takes its raw path at every instant.
+    if (oldest < first - window)
+        return true;
+    // Nothing evicted: the ring holds every sample ever recorded, so a
+    // rate reads the samples it read at that instant (a mean of a young
+    // series would read the open minute bucket, which has moved on).
+    return !mean && !evicts;
 }
 
 std::vector<RollupPoint>
@@ -302,15 +432,33 @@ MetricStore::mean_if_data(SeriesId id, TimePoint end, Duration window,
     // bucket) so the answer still covers it.
     const bool raw_covers = !s.raw.empty() && s.raw.at(0).t <= t0;
     if (raw_covers || (s.minutes.empty() && !s.minute_open)) {
-        const Window w = raw_window(s.raw, t0, end, hinted(s.raw, hint));
-        if (hint)
-            hint->newer = s.raw.size() - w.first;
+        const size_t n = s.raw.size();
+        const Window w =
+            hint ? raw_window(s.raw, t0, end,
+                              next_position(hint->first, s.recorded, n),
+                              next_position(hint->end, s.recorded, n))
+                 : raw_window(s.raw, t0, end);
+        if (hint) {
+            hint->first = s.recorded - n + w.first;
+            hint->end = s.recorded - n + w.last;
+        }
         if (w.empty())
             return minute_data() ? std::optional<double>(0.0) : std::nullopt;
+        // Samples after the newest stretch's start all hold its value.
+        const bool flat = hint && s.stretch_since < t0;
+        if (flat && hint->flat_since == s.stretch_since &&
+            hint->flat_count == w.size())
+            return hint->flat_mean;
         double sum = 0;
         for (size_t i = w.first; i < w.last; ++i)
             sum += s.raw.at(i).v;
-        return sum / double(w.size());
+        const double mean = sum / double(w.size());
+        if (flat) {
+            hint->flat_since = s.stretch_since;
+            hint->flat_count = w.size();
+            hint->flat_mean = mean;
+        }
+        return mean;
     }
     double sum = 0;
     uint64_t count = 0;
@@ -358,14 +506,24 @@ MetricStore::rate_over(SeriesId id, TimePoint end, Duration window,
 {
     assert(!window.is_zero() && !window.is_negative());
     const Series &s = series_at(id);
-    const auto newest =
-        value_at_or_before(s, end, raw_at_or_before(s.raw, end, s.raw.size()));
+    // Settled by the window start: the values at or before t0 and at or
+    // before end are both the newest, so the increase is c - c and the
+    // rate 0.
+    if (hint && settled_at(id, end - window))
+        return 0.0;
+    const size_t n = s.raw.size();
+    const size_t at_end = raw_at_or_before(
+        s.raw, end, hint ? next_position(hint->end, s.recorded, n) : n);
+    const auto newest = value_at_or_before(s, end, at_end);
     if (!newest)
         return 0.0;
     const TimePoint t0 = end - window;
-    const size_t before = raw_at_or_before(s.raw, t0, hinted(s.raw, hint));
-    if (hint)
-        hint->newer = s.raw.size() - before;
+    const size_t before = raw_at_or_before(
+        s.raw, t0, hint ? next_position(hint->first, s.recorded, n) : 0);
+    if (hint) {
+        hint->first = s.recorded - n + before;
+        hint->end = s.recorded - n + at_end;
+    }
     auto oldest = value_at_or_before(s, t0, before);
     if (!oldest) {
         // Counter born inside the window: treat its first retained

@@ -17,8 +17,10 @@
  */
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -88,6 +90,26 @@ class MetricRing
         }
     }
 
+    /** push(make(i)) for i in [0, n), in order. */
+    template <typename Make>
+    void
+    push_n(size_t n, Make make)
+    {
+        size_t i = 0;
+        for (; i < n && data_.size() < capacity_; ++i)
+            data_.push_back(make(i));
+        // Full from here on: overwrite the oldest, the write position
+        // held in a local.
+        T *data = data_.data();
+        size_t head = head_;
+        for (; i < n; ++i) {
+            data[head] = make(i);
+            if (++head == capacity_)
+                head = 0;
+        }
+        head_ = head;
+    }
+
     size_t size() const { return data_.size(); }
     size_t capacity() const { return capacity_; }
     bool empty() const { return data_.empty(); }
@@ -141,8 +163,91 @@ class MetricStore
      */
     void record(SeriesId id, TimePoint t, double v);
 
+    /**
+     * Records v[i] at first + i * step, oldest first: the same raw-ring
+     * writes and rollup adds, in the same order, as v.size() record()
+     * calls, made by one tight loop over the raw ring and one over
+     * both rollups. The ops center records each series of a run of
+     * quiet sample instants with one call per chunk.
+     */
+    void record_run(SeriesId id, TimePoint first, Duration step,
+                    std::span<const double> v);
+
     /** Newest sample of a series, if any. */
     std::optional<MetricSample> latest(SeriesId id) const;
+
+    /** Samples a series has ever recorded: a new sample changes it. */
+    uint64_t samples_recorded(SeriesId id) const
+    {
+        return series_at(id).recorded;
+    }
+
+    /**
+     * True if the series' value at t, and at every later time until it
+     * records again, is its newest value: its newest stretch of
+     * bit-identical values began at or before t, and a retained sample
+     * lies at or before t. value_at then answers the newest value, and
+     * a rate over a window that starts at t or later answers 0.
+     */
+    bool
+    settled_at(SeriesId id, TimePoint t) const
+    {
+        // The newest retained sample at or before t, and every sample
+        // after it, are in the newest stretch.
+        const Series &s = series_at(id);
+        return !s.raw.empty() && s.stretch_since <= t && s.raw.at(0).t <= t;
+    }
+
+    /**
+     * Where a repeated windowed query fell in the raw ring: the
+     * absolute indices (samples ever recorded before them) of its
+     * window's first sample and of the sample after its last. A caller
+     * asking about one series once per sample instant keeps a hint per
+     * query: the next query's window then starts and ends one sample
+     * further on, which two compares each confirm — whether each
+     * instant's sample was recorded just before the query or the
+     * samples of a whole run were recorded first. A stale or wrong hint
+     * only costs a binary search, so results never depend on it.
+     */
+    struct WindowHint {
+        uint64_t first = 0;
+        uint64_t end = 0;
+        /**
+         * The last mean over a raw window whose samples all hold one
+         * value: the time that value's stretch began, the sample count
+         * and the mean. The same stretch and count mean the same
+         * additions, so mean_if_data returns it without summing.
+         */
+        TimePoint flat_since = TimePoint::max();
+        size_t flat_count = 0;
+        double flat_mean = 0;
+    };
+
+    /**
+     * Value of the newest retained sample at or before t, if any. With
+     * a hint, a series whose value has not changed since t or earlier
+     * answers with its newest value, without a search.
+     */
+    std::optional<double> value_at(SeriesId id, TimePoint t,
+                                   WindowHint *hint = nullptr) const;
+
+    /**
+     * True if, once k samples at first, first + step, ... are recorded
+     * with record_run, mean_if_data (when `mean`) or rate_over and
+     * value_at, asked at any of those instants with a window of at
+     * most `window`, answer as they would have with the samples after
+     * that instant not yet recorded. They do when the raw ring then
+     * still holds every sample the query reads and the query reads
+     * samples only: a mean whose window start the ring covers at the
+     * first instant, a rate too when the ring evicts nothing. The
+     * alert engine checks this before the ops center records a run
+     * ahead of the rules. k must not exceed the raw capacity.
+     */
+    bool answers_as_of(SeriesId id, TimePoint first, Duration step,
+                       size_t k, Duration window, bool mean) const;
+
+    /** Raw samples retained per series. */
+    size_t raw_capacity() const { return config_.raw_capacity; }
 
     /**
      * Rollup points intersecting [t0, t1] at the given resolution,
@@ -157,18 +262,6 @@ class MetricStore
      * minute bucket intersects it. Allocates nothing.
      */
     bool has_data(SeriesId id, TimePoint t0, TimePoint t1) const;
-
-    /**
-     * Where a repeated windowed query's start fell in the raw ring: the
-     * number of retained samples newer than it. A caller asking about
-     * one series once per sample keeps a hint per query: the start then
-     * sits the same distance from the newest sample, which one compare
-     * confirms. A stale or wrong hint only costs the binary search, so
-     * results never depend on it.
-     */
-    struct WindowHint {
-        size_t newer = 0;
-    };
 
     /**
      * Exact percentile (linear interpolation) over the raw samples in
@@ -187,7 +280,9 @@ class MetricStore
     /**
      * mean_over, or nullopt when has_data(end - window, end) is false:
      * the alert engine's windowed mean with its no-data test, from one
-     * window search.
+     * window search. With a hint, a window that holds one value only
+     * and as many samples as the hint's last such window reuses its
+     * mean (see WindowHint).
      */
     std::optional<double> mean_if_data(SeriesId id, TimePoint end,
                                        Duration window,
@@ -197,7 +292,9 @@ class MetricStore
      * Per-second increase of a counter over [end - window, end]:
      * (value at end - value at window start) / window. Uses rollup
      * `last` values when the raw ring no longer covers the window.
-     * Returns 0 with fewer than two observations in range.
+     * Returns 0 with fewer than two observations in range. With a
+     * hint, a counter whose value has not changed since the window
+     * start answers 0 without a search: both ends read that value.
      */
     double rate_over(SeriesId id, TimePoint end, Duration window,
                      WindowHint *hint = nullptr) const;
@@ -226,13 +323,19 @@ class MetricStore
         RollupPoint open_hour;
         bool minute_open = false;
         bool hour_open = false;
+        /** Samples ever recorded (the absolute index of the next). */
+        uint64_t recorded = 0;
+        /** Time of the first sample of the newest stretch of samples
+         *  holding bit-identical values. */
+        TimePoint stretch_since;
     };
 
-    const Series &series_at(SeriesId id) const;
-
-    /** Folds a sample into an open bucket, flushing it on advance. */
-    static void fold(MetricRing<RollupPoint> &closed, RollupPoint &open,
-                     bool &is_open, Duration bucket, TimePoint t, double v);
+    const Series &
+    series_at(SeriesId id) const
+    {
+        assert(id >= 0 && size_t(id) < series_.size());
+        return series_[size_t(id)];
+    }
 
     /**
      * Newest observation at or before t (raw, then rollup `last`);

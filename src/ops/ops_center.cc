@@ -1,5 +1,6 @@
 #include "ops/ops_center.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace tacc::ops {
@@ -130,24 +131,25 @@ OpsCenter::OpsCenter(OpsConfig config)
 }
 
 void
-OpsCenter::add_gauge_source(const std::string &name, SourceFn fn)
+OpsCenter::add_gauge_source(const std::string &name, SourceFn fn,
+                            Reads reads)
 {
     assert(fn);
-    sources_.push_back(
-        Source{store_.define(name, SeriesKind::kGauge), std::move(fn)});
+    sources_.push_back(Source{store_.define(name, SeriesKind::kGauge),
+                              std::move(fn), reads});
 }
 
 void
-OpsCenter::add_counter_source(const std::string &name, SourceFn fn)
+OpsCenter::add_counter_source(const std::string &name, SourceFn fn,
+                              Reads reads)
 {
     assert(fn);
-    sources_.push_back(
-        Source{store_.define(name, SeriesKind::kCounter), std::move(fn)});
+    sources_.push_back(Source{store_.define(name, SeriesKind::kCounter),
+                              std::move(fn), reads});
 }
 
 void
-OpsCenter::add_multi_source(
-    std::function<void(OpsCenter &, TimePoint)> fn)
+OpsCenter::add_multi_source(MultiSourceFn fn)
 {
     assert(fn);
     multi_sources_.push_back(std::move(fn));
@@ -164,10 +166,105 @@ OpsCenter::sample(TimePoint now)
 {
     for (const auto &source : sources_)
         store_.record(source.id, now, source.fn(now));
+    readings_.clear();
     for (const auto &fn : multi_sources_)
-        fn(*this, now);
+        fn(store_, now, readings_);
+    for (const Reading &r : readings_)
+        store_.record(r.id, now, r.v);
     alerts_.evaluate(store_, now);
     ++samples_;
+}
+
+void
+OpsCenter::sample_run(TimePoint first, size_t k)
+{
+    assert(k > 0);
+    if (k == 1) {
+        sample(first);
+        return;
+    }
+    const Duration period = config_.sample_period;
+    const size_t n = sources_.size();
+    const size_t chunk = std::min(kRunChunk, store_.raw_capacity());
+    run_values_.resize(n * kRunChunk);
+    reading_ends_.resize(kRunChunk);
+    for (size_t s = 0; s < n; ++s) {
+        if (sources_[s].reads == Reads::kState)
+            std::fill_n(&run_values_[s * kRunChunk], kRunChunk,
+                        sources_[s].fn(first));
+    }
+    for (size_t done = 0; done < k; done += chunk) {
+        const size_t m = std::min(chunk, k - done);
+        const TimePoint start = first + int64_t(done) * period;
+        auto at = [start, period](size_t i) {
+            return start + int64_t(i) * period;
+        };
+        // Every value of the chunk, in time order per source.
+        for (size_t s = 0; s < n; ++s) {
+            if (sources_[s].reads == Reads::kClock) {
+                for (size_t i = 0; i < m; ++i)
+                    run_values_[s * kRunChunk + i] = sources_[s].fn(at(i));
+            }
+        }
+        readings_.clear();
+        for (size_t i = 0; i < m; ++i) {
+            for (const auto &fn : multi_sources_)
+                fn(store_, at(i), readings_);
+            reading_ends_[i] = readings_.size();
+        }
+        // Readings of the same series at every instant (the usual
+        // shape) can be recorded a series at a time.
+        const size_t per = reading_ends_[0];
+        bool columns = true;
+        for (size_t i = 1; columns && i < m; ++i) {
+            columns = reading_ends_[i] == (i + 1) * per;
+            for (size_t j = 0; columns && j < per; ++j)
+                columns = readings_[i * per + j].id == readings_[j].id;
+        }
+
+        // A series is recorded ahead, a chunk in one call, unless a
+        // rule must read it instant by instant or two producers write
+        // it (their samples then interleave by instant).
+        run_counts_.assign(store_.series_count(), 0);
+        for (const Source &source : sources_)
+            run_counts_[size_t(source.id)] += uint32_t(m);
+        for (const Reading &r : readings_)
+            ++run_counts_[size_t(r.id)];
+        held_.assign(run_counts_.size(), 0);
+        for (size_t id = 0; id < run_counts_.size(); ++id)
+            held_[id] = run_counts_[id] > m;
+        alerts_.hold_back(store_, start, period, m, run_counts_, held_);
+
+        for (size_t s = 0; s < n; ++s) {
+            if (!held_[size_t(sources_[s].id)])
+                store_.record_run(sources_[s].id, start, period,
+                                  {&run_values_[s * kRunChunk], m});
+        }
+        if (columns) {
+            column_.resize(m);
+            for (size_t j = 0; j < per; ++j) {
+                if (held_[size_t(readings_[j].id)])
+                    continue;
+                for (size_t i = 0; i < m; ++i)
+                    column_[i] = readings_[i * per + j].v;
+                store_.record_run(readings_[j].id, start, period, column_);
+            }
+        }
+        for (size_t i = 0; i < m; ++i) {
+            for (size_t s = 0; s < n; ++s) {
+                if (held_[size_t(sources_[s].id)])
+                    store_.record(sources_[s].id, at(i),
+                                  run_values_[s * kRunChunk + i]);
+            }
+            for (size_t r = i > 0 ? reading_ends_[i - 1] : 0;
+                 r < reading_ends_[i]; ++r) {
+                if (!columns || held_[size_t(readings_[r].id)])
+                    store_.record(readings_[r].id, at(i), readings_[r].v);
+            }
+            alerts_.evaluate(store_, at(i), true);
+        }
+        samples_ += m;
+    }
 }
 
 } // namespace tacc::ops

@@ -6,11 +6,14 @@
  * and runs the pull-based collection cycle: higher layers register
  * sample *sources* (closures reading live cluster state — GPU
  * utilization, queue depth, usage shares, failure counters) and the
- * embedding stack drives sample() from the simulator's pre-fire watch
- * (sim::Simulator::set_watch) at every sample instant. One
- * sample() pass polls every source into the store, then evaluates the
- * alert rules — so collection is strictly observational: it never
- * mutates scheduler or cluster state and never perturbs event ordering.
+ * embedding stack drives sample_run() from the simulator's pre-fire
+ * watch (sim::Simulator::set_watch). One pass covers a run of sample
+ * instants with no event between them — the whole quiet run when the
+ * stack's own run loop steps, one instant when an outside caller
+ * steps the simulator — and gives every instant the store contents,
+ * rule evaluations and incidents a pass per instant would. Collection
+ * is strictly observational: it never mutates scheduler or cluster
+ * state and never perturbs event ordering.
  *
  * The ops module sits *below* core in the module DAG (it depends only on
  * common); TaccStack wires its components in as sources.
@@ -92,6 +95,15 @@ struct OpsConfig {
 /** The standard campus alert pack, sized for the 256-GPU deployment. */
 std::vector<AlertRule> default_rules();
 
+/**
+ * What a source's value depends on. A state-only source reads stack
+ * state, which no sample instant changes, so a run of quiet instants
+ * polls it once. A clock-reading source uses the instant it is passed
+ * or keeps state of its own between calls; it is polled at every
+ * instant, in time order.
+ */
+enum class Reads { kState, kClock };
+
 class OpsCenter
 {
   public:
@@ -113,14 +125,25 @@ class OpsCenter
 
     /** @name Source registration (done once, at stack wiring time) */
     ///@{
-    void add_gauge_source(const std::string &name, SourceFn fn);
-    void add_counter_source(const std::string &name, SourceFn fn);
+    void add_gauge_source(const std::string &name, SourceFn fn,
+                          Reads reads = Reads::kClock);
+    void add_counter_source(const std::string &name, SourceFn fn,
+                            Reads reads = Reads::kClock);
+    /** One gauge value of a multi-source at one instant. */
+    struct Reading {
+        SeriesId id;
+        double v;
+    };
     /**
-     * A source producing a *set* of gauges per sample (e.g. one share
-     * per tenant group); it calls record_gauge for each.
+     * A source producing a *set* of gauges per sample instant (e.g. one
+     * share per tenant group). Called once per instant, in time order,
+     * it appends a reading for each gauge it has a value for at that
+     * instant, defining the series in the store as it first needs them
+     * (callers cache the ids); the center records the readings.
      */
-    void add_multi_source(
-        std::function<void(OpsCenter &, TimePoint)> fn);
+    using MultiSourceFn =
+        std::function<void(MetricStore &, TimePoint, std::vector<Reading> &)>;
+    void add_multi_source(MultiSourceFn fn);
     ///@}
 
     /** Records a dynamically named gauge (defines the series lazily). */
@@ -128,10 +151,21 @@ class OpsCenter
 
     /**
      * One collection cycle: polls every source at time now, then
-     * evaluates the alert rules. Driven by the stack's sample watch;
-     * now must be non-decreasing.
+     * evaluates the alert rules. now must be non-decreasing.
      */
     void sample(TimePoint now);
+
+    /**
+     * k collection cycles at first, first + sample_period, ..., with no
+     * change to stack state between them (no event fires in the run).
+     * Equal, bit for bit, to k sample() calls. State-only sources are
+     * polled once, clock-reading ones at every instant. The run goes in
+     * chunks: each series records its chunk with one record_run call,
+     * then the rules are evaluated instant by instant. A series a rule
+     * could not read that way (AlertEngine::hold_back) is recorded
+     * instant by instant instead, just before each evaluation.
+     */
+    void sample_run(TimePoint first, size_t k);
 
     uint64_t samples_taken() const { return samples_; }
 
@@ -139,16 +173,33 @@ class OpsCenter
     struct Source {
         SeriesId id;
         SourceFn fn;
+        Reads reads;
     };
+
+    /** Instants a sample_run pass buffers per source at a time. */
+    static constexpr size_t kRunChunk = 64;
 
     OpsConfig config_;
     MetricStore store_;
     AlertEngine alerts_;
     Accountant accounting_;
     std::vector<Source> sources_;
-    std::vector<std::function<void(OpsCenter &, TimePoint)>>
-        multi_sources_;
+    std::vector<MultiSourceFn> multi_sources_;
     uint64_t samples_ = 0;
+    /** @name Scratch of a pass, kept for reuse */
+    ///@{
+    /** Per source, its values at a chunk's instants (kRunChunk each). */
+    std::vector<double> run_values_;
+    /** Multi-source readings, instant after instant; reading_ends_[i]
+     *  is the end of instant i's. */
+    std::vector<Reading> readings_;
+    std::vector<size_t> reading_ends_;
+    /** Per series, its samples in the chunk and whether it is recorded
+     *  instant by instant; one series' readings of the chunk. */
+    std::vector<uint32_t> run_counts_;
+    std::vector<uint8_t> held_;
+    std::vector<double> column_;
+    ///@}
 };
 
 } // namespace tacc::ops

@@ -224,6 +224,18 @@ Simulator::clear_watch()
     watch_fn_ = nullptr;
 }
 
+size_t
+Simulator::quiet_instants(TimePoint bound) const
+{
+    assert(watch_fn_ && now_.to_micros() == watch_.t_us);
+    drain_cancelled();
+    const int64_t last = std::min(
+        heap_.empty() ? INT64_MAX : heap_.front().t_us - 1, bound.to_micros());
+    if (last <= watch_.t_us)
+        return 1;
+    return 1 + size_t((last - watch_.t_us) / watch_period_us_);
+}
+
 void
 Simulator::run_watch()
 {

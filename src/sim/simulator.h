@@ -149,6 +149,18 @@ class Simulator
     /** Removes the watch; no instant runs from now on. */
     void clear_watch();
 
+    /**
+     * Called from inside the watch: the number of due instants, the
+     * running one first, that come before the next pending event in
+     * the watch's (t, seq) order and at or before `bound`. A later
+     * instant is re-armed after every event scheduled so far, so an
+     * event at that instant fires first: it must lie strictly after
+     * the instant. No event can fire in between (the watch schedules
+     * none), so these instants run back to back, one per step, against
+     * the same state. At least 1.
+     */
+    size_t quiet_instants(TimePoint bound) const;
+
     /** Number of events still pending. */
     size_t pending() const { return live_count_; }
 

@@ -4,13 +4,21 @@
  * boundary cases, burn-rate rules, and a property-style test under
  * randomized metric streams against an independent reference state
  * machine — neither firing nor resolving may ever happen without the
- * condition holding (or staying clear) for the full `for` duration.
+ * condition holding (or staying clear) for the full `for` duration —
+ * and the run paths: rules evaluated after a run of samples was
+ * recorded ahead, and OpsCenter::sample_run, against evaluation of
+ * every instant in full.
  */
 #include <gtest/gtest.h>
+
+#include <bit>
+#include <map>
+#include <memory>
 
 #include "common/rng.h"
 #include "ops/alert.h"
 #include "ops/metric_store.h"
+#include "ops/ops_center.h"
 
 namespace tacc::ops {
 namespace {
@@ -337,6 +345,380 @@ TEST(AlertEngine, HysteresisMatchesReferenceUnderRandomStreams)
                           for_duration);
             }
         }
+    }
+}
+
+/**
+ * The engine's rules evaluated every instant in full, against a store
+ * recorded instant by instant: plain queries (no hints, so no
+ * shortcut), then the same hysteresis, peaks and incidents.
+ */
+class FullEvaluation
+{
+  public:
+    explicit FullEvaluation(std::vector<AlertRule> rules)
+        : rules_(std::move(rules)), states_(rules_.size())
+    {
+    }
+
+    void
+    evaluate(const MetricStore &store, TimePoint now)
+    {
+        for (size_t i = 0; i < rules_.size(); ++i) {
+            const AlertRule &rule = rules_[i];
+            AlertEngine::RuleStatus &st = states_[i];
+            const SeriesId id = store.find(rule.series);
+            std::optional<double> value;
+            if (id != kInvalidSeries) {
+                switch (rule.agg) {
+                  case AlertRule::Agg::kLast:
+                    if (const auto sample = store.latest(id))
+                        value = sample->v;
+                    break;
+                  case AlertRule::Agg::kMean:
+                    value = store.mean_if_data(id, now, rule.window);
+                    break;
+                  case AlertRule::Agg::kRate:
+                    if (store.latest(id))
+                        value = store.rate_over(id, now, rule.window);
+                    break;
+                }
+            }
+            const bool above = rule.cmp == AlertRule::Cmp::kAbove;
+            if (value && (above ? *value > rule.threshold
+                                : *value < rule.threshold)) {
+                st.clear_since.reset();
+                if (!st.true_since) {
+                    st.true_since = now;
+                    st.peak = *value;
+                } else {
+                    st.peak = above ? std::max(st.peak, *value)
+                                    : std::min(st.peak, *value);
+                }
+                if (!st.firing && now - *st.true_since >= rule.for_duration) {
+                    st.firing = true;
+                    incident_[i] = incidents.size();
+                    incidents.push_back(AlertIncident{
+                        rule.name, rule.severity, now, TimePoint::max(),
+                        st.peak});
+                }
+                if (st.firing)
+                    incidents[incident_[i]].peak = st.peak;
+            } else {
+                st.true_since.reset();
+                if (st.firing) {
+                    if (!st.clear_since)
+                        st.clear_since = now;
+                    if (now - *st.clear_since >= rule.for_duration) {
+                        st.firing = false;
+                        st.clear_since.reset();
+                        incidents[incident_[i]].resolved_at = now;
+                    }
+                }
+            }
+        }
+    }
+
+    const AlertEngine::RuleStatus &status(size_t i) const { return states_[i]; }
+
+    std::vector<AlertIncident> incidents;
+
+  private:
+    std::vector<AlertRule> rules_;
+    std::vector<AlertEngine::RuleStatus> states_;
+    std::map<size_t, size_t> incident_;
+};
+
+AlertRule
+rule(const char *name, const char *series, AlertRule::Agg agg,
+     AlertRule::Cmp cmp, double threshold, Duration window,
+     Duration for_duration)
+{
+    AlertRule r;
+    r.name = name;
+    r.series = series;
+    r.agg = agg;
+    r.cmp = cmp;
+    r.threshold = threshold;
+    r.window = window;
+    r.for_duration = for_duration;
+    return r;
+}
+
+/** Last, mean and rate rules over a state gauge "g", a clock gauge "w"
+ *  and a counter "c": windows shorter and longer than the streams'
+ *  constant stretches, for-durations 0 and longer than a quiet gap. */
+std::vector<AlertRule>
+run_rules()
+{
+    using Agg = AlertRule::Agg;
+    using Cmp = AlertRule::Cmp;
+    return {
+        rule("g-high", "g", Agg::kLast, Cmp::kAbove, 1.5, 0_s, 0_s),
+        rule("g-low", "g", Agg::kLast, Cmp::kBelow, 0.5, 0_s, 10_min),
+        rule("w-old", "w", Agg::kLast, Cmp::kAbove, 900, 0_s, 5_min),
+        rule("g-mean-short", "g", Agg::kMean, Cmp::kAbove, 1.5, 2_min,
+             5_min),
+        rule("g-mean-long", "g", Agg::kMean, Cmp::kBelow, 1.0, 1_h, 0_s),
+        rule("w-mean", "w", Agg::kMean, Cmp::kAbove, 300, 10_min, 2_min),
+        rule("c-burn", "c", Agg::kRate, Cmp::kAbove, 0.002, 5_min, 15_min),
+        rule("c-slow-burn", "c", Agg::kRate, Cmp::kAbove, 0.0005, 2_h, 0_s),
+        rule("absent", "never-recorded", Agg::kLast, Cmp::kAbove, 0, 0_s,
+             0_s),
+    };
+}
+
+void
+expect_same_incidents(const std::vector<AlertIncident> &got,
+                      const std::vector<AlertIncident> &want)
+{
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].rule, want[i].rule) << "incident " << i;
+        EXPECT_EQ(got[i].fired_at, want[i].fired_at) << "incident " << i;
+        EXPECT_EQ(got[i].resolved_at, want[i].resolved_at)
+            << "incident " << i;
+        EXPECT_EQ(std::bit_cast<uint64_t>(got[i].peak),
+                  std::bit_cast<uint64_t>(want[i].peak))
+            << "incident " << i;
+    }
+}
+
+// Piecewise-constant streams at a fixed 30 s cadence, changed only
+// between runs of quiet instants (as events change stack state). Each
+// run is recorded ahead with record_run except the series hold_back
+// keeps for instant-by-instant recording; the engine is then evaluated
+// at every instant of the run. At every instant its firing states, rule
+// states and incidents (fire and resolve times, peak bits) must equal
+// those of every instant evaluated in full over a store recorded
+// instant by instant. Small raw rings make long windows outgrow them,
+// so held series occur too.
+TEST(AlertEngine, RunEvaluationMatchesFullEvaluationReference)
+{
+    Rng rng(20261020);
+    const Duration period = 30_s;
+    int held_runs = 0;
+    int ahead_runs = 0;
+    int fired_mid_run = 0;
+    int resolved_mid_run = 0;
+    for (int trial = 0; trial < 24; ++trial) {
+        SCOPED_TRACE("trial " + std::to_string(trial));
+        MetricStoreConfig config;
+        config.raw_capacity = size_t(trial % 3 == 0   ? 40
+                                     : trial % 3 == 1 ? 300
+                                                      : 2048);
+        MetricStore ahead(config);
+        MetricStore instant(config);
+        const std::vector<AlertRule> rules = run_rules();
+        AlertEngine engine;
+        for (const AlertRule &r : rules)
+            engine.add_rule(r);
+        FullEvaluation reference(rules);
+        const SeriesId g = ahead.define("g", SeriesKind::kGauge);
+        const SeriesId w = ahead.define("w", SeriesKind::kGauge);
+        const SeriesId c = ahead.define("c", SeriesKind::kCounter);
+        ASSERT_EQ(instant.define("g", SeriesKind::kGauge), g);
+        ASSERT_EQ(instant.define("w", SeriesKind::kGauge), w);
+        ASSERT_EQ(instant.define("c", SeriesKind::kCounter), c);
+
+        double level = 1.0;
+        double count = 0;
+        TimePoint waiting_since = TimePoint::origin();
+        TimePoint next = TimePoint::origin() + period;
+        for (int run = 0; run < 60; ++run) {
+            // An event between runs: new levels.
+            if (rng.uniform() < 0.7)
+                level = double(rng.uniform_int(0, 3));
+            if (rng.uniform() < 0.5)
+                count += double(rng.uniform_int(1, 4));
+            if (rng.uniform() < 0.3)
+                waiting_since = next - Duration::seconds(
+                                           rng.uniform_int(0, 600));
+            const size_t k = size_t(std::min<int64_t>(
+                rng.uniform() < 0.2 ? 1 : rng.uniform_int(2, 150),
+                int64_t(config.raw_capacity)));
+            std::vector<double> gv(k, level);
+            std::vector<double> cv(k, count);
+            std::vector<double> wv(k);
+            for (size_t i = 0; i < k; ++i)
+                wv[i] = level > 0 ? (next + int64_t(i) * period -
+                                     waiting_since)
+                                        .to_seconds()
+                                  : 0.0;
+
+            std::vector<uint32_t> samples(ahead.series_count(),
+                                          uint32_t(k));
+            std::vector<uint8_t> held(ahead.series_count(), 0);
+            engine.hold_back(ahead, next, period, k, samples, held);
+            const std::vector<std::pair<SeriesId, const std::vector<double> *>>
+                series = {{g, &gv}, {w, &wv}, {c, &cv}};
+            bool any_held = false;
+            for (const auto &[id, v] : series) {
+                if (held[size_t(id)])
+                    any_held = true;
+                else
+                    ahead.record_run(id, next, period, *v);
+            }
+            held_runs += any_held;
+            ahead_runs += !any_held;
+
+            for (size_t i = 0; i < k; ++i) {
+                const TimePoint t = next + int64_t(i) * period;
+                for (const auto &[id, v] : series) {
+                    if (held[size_t(id)])
+                        ahead.record(id, t, (*v)[i]);
+                    instant.record(id, t, (*v)[i]);
+                }
+                const size_t fired = reference.incidents.size();
+                size_t resolved = 0;
+                for (const AlertIncident &x : reference.incidents)
+                    resolved += !x.active();
+                engine.evaluate(ahead, t, true);
+                reference.evaluate(instant, t);
+                if (i > 0) {
+                    fired_mid_run += reference.incidents.size() > fired;
+                    size_t now_resolved = 0;
+                    for (const AlertIncident &x : reference.incidents)
+                        now_resolved += !x.active();
+                    resolved_mid_run += now_resolved > resolved;
+                }
+                for (size_t r = 0; r < rules.size(); ++r) {
+                    SCOPED_TRACE("run " + std::to_string(run) + " instant " +
+                                 std::to_string(i) + " rule " +
+                                 rules[r].name);
+                    const AlertEngine::RuleStatus got = engine.status(r);
+                    const AlertEngine::RuleStatus &want = reference.status(r);
+                    ASSERT_EQ(engine.is_firing(rules[r].name), want.firing);
+                    ASSERT_EQ(got.firing, want.firing);
+                    ASSERT_EQ(got.true_since, want.true_since);
+                    ASSERT_EQ(got.clear_since, want.clear_since);
+                    if (got.true_since) {
+                        ASSERT_EQ(std::bit_cast<uint64_t>(got.peak),
+                                  std::bit_cast<uint64_t>(want.peak));
+                    }
+                }
+                ASSERT_NO_FATAL_FAILURE(expect_same_incidents(
+                    engine.incidents(), reference.incidents));
+            }
+            next += int64_t(k) * period;
+        }
+    }
+    EXPECT_GT(held_runs, 50);
+    EXPECT_GT(ahead_runs, 500);
+    EXPECT_GT(fired_mid_run, 100);
+    EXPECT_GT(resolved_mid_run, 100);
+}
+
+// sample_run(first, k) must leave an ops center exactly as k sample()
+// calls leave it: every series at three resolutions bit for bit, the
+// incidents and the sample count. The sources cover state-only and
+// clock-reading gauges, a counter, a source with state of its own and
+// a multi-source whose gauges appear late and skip instants.
+TEST(OpsCenter, SampleRunMatchesSampleAtEveryInstant)
+{
+    struct Stack {
+        double level = 0;
+        double count = 0;
+        int groups = 0;
+        bool idle = false;
+        TimePoint since = TimePoint::origin();
+    };
+    auto make = [](Stack &stack, MetricStoreConfig store) {
+        OpsConfig config;
+        config.store = store;
+        auto center = std::make_unique<OpsCenter>(config);
+        center->add_gauge_source(
+            series::kGpuUtil, [&stack](TimePoint) { return stack.level; },
+            Reads::kState);
+        center->add_counter_source(
+            series::kSegmentFailures,
+            [&stack](TimePoint) { return stack.count; }, Reads::kState);
+        center->add_gauge_source(
+            series::kQueueOldestWait, [&stack](TimePoint now) {
+                return (now - stack.since).to_seconds();
+            });
+        center->add_gauge_source(
+            series::kSloAttainment, [calls = 0](TimePoint) mutable {
+                return ++calls % 7 == 0 ? 0.5 : 1.0;
+            });
+        center->add_multi_source(
+            [&stack, ids = std::vector<SeriesId>()](
+                MetricStore &s, TimePoint now,
+                std::vector<OpsCenter::Reading> &out) mutable {
+                if (stack.idle && now.to_micros() / 30'000'000 % 5 == 0)
+                    return;
+                while (int(ids.size()) < stack.groups) {
+                    ids.push_back(s.define("group.share.g" +
+                                               std::to_string(ids.size()),
+                                           SeriesKind::kGauge));
+                }
+                for (size_t i = 0; i < ids.size(); ++i)
+                    out.push_back({ids[i], stack.level / double(i + 1)});
+            });
+        AlertRule share;
+        share.name = "share";
+        share.series = "group.share.g0";
+        share.agg = AlertRule::Agg::kMean;
+        share.window = 10_min;
+        share.threshold = 1.5;
+        share.for_duration = 5_min;
+        center->alerts().add_rule(share);
+        return center;
+    };
+
+    Rng rng(20261021);
+    for (int trial = 0; trial < 6; ++trial) {
+        SCOPED_TRACE("trial " + std::to_string(trial));
+        MetricStoreConfig store;
+        store.raw_capacity = trial % 2 ? 50 : 2048;
+        Stack stack;
+        auto runs = make(stack, store);
+        auto singles = make(stack, store);
+        const Duration period = runs->config().sample_period;
+        TimePoint next = TimePoint::origin() + period;
+        for (int run = 0; run < 80; ++run) {
+            stack.level = double(rng.uniform_int(0, 4));
+            if (rng.uniform() < 0.5)
+                stack.count += double(rng.uniform_int(1, 9));
+            if (rng.uniform() < 0.2)
+                stack.since = next;
+            if (rng.uniform() < 0.1)
+                ++stack.groups;
+            stack.idle = rng.uniform() < 0.3;
+            const size_t k = size_t(rng.uniform_int(1, 200));
+            runs->sample_run(next, k);
+            for (size_t i = 0; i < k; ++i)
+                singles->sample(next + int64_t(i) * period);
+            next += int64_t(k) * period;
+
+            ASSERT_EQ(runs->samples_taken(), singles->samples_taken());
+            const MetricStore &a = runs->store();
+            const MetricStore &b = singles->store();
+            ASSERT_EQ(a.series_count(), b.series_count());
+            for (SeriesId id = 0; size_t(id) < a.series_count(); ++id) {
+                ASSERT_EQ(a.name_of(id), b.name_of(id));
+                for (const Resolution res :
+                     {Resolution::kRaw, Resolution::kMinute,
+                      Resolution::kHour}) {
+                    const auto pa = a.range(id, TimePoint::origin(),
+                                            TimePoint::max(), res);
+                    const auto pb = b.range(id, TimePoint::origin(),
+                                            TimePoint::max(), res);
+                    ASSERT_EQ(pa.size(), pb.size());
+                    for (size_t i = 0; i < pa.size(); ++i) {
+                        ASSERT_EQ(pa[i].start, pb[i].start);
+                        ASSERT_EQ(std::bit_cast<uint64_t>(pa[i].sum),
+                                  std::bit_cast<uint64_t>(pb[i].sum));
+                        ASSERT_EQ(std::bit_cast<uint64_t>(pa[i].last),
+                                  std::bit_cast<uint64_t>(pb[i].last));
+                        ASSERT_EQ(pa[i].count, pb[i].count);
+                    }
+                }
+            }
+            ASSERT_NO_FATAL_FAILURE(expect_same_incidents(
+                runs->alerts().incidents(), singles->alerts().incidents()));
+        }
+        EXPECT_FALSE(runs->alerts().incidents().empty());
     }
 }
 

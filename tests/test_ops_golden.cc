@@ -14,11 +14,17 @@
  *
  * On a mismatch the test prints every scenario's digest in the golden
  * file's format.
+ *
+ * The same scenarios also pin that the digest does not depend on who
+ * drives the run: the stack's run loops record a quiet run of sample
+ * instants in one pass, an outside step records one instant, and a
+ * change made from outside between two steps shows in the next sample.
  */
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <sstream>
 #include <string>
@@ -83,6 +89,14 @@ fold_ops(Fnv1a &h, const core::TaccStack &stack)
     h.str(stack.operator_report());
 }
 
+uint64_t
+ops_digest(const core::TaccStack &stack)
+{
+    Fnv1a h;
+    fold_ops(h, stack);
+    return h.value();
+}
+
 /** A stack built the way run_scenario builds one, kept for inspection. */
 struct Run {
     explicit Run(const core::ScenarioConfig &config)
@@ -98,18 +112,24 @@ struct Run {
                                     .generate());
     }
 
+    /** A stack of its own configuration, fed a fixed trace. */
+    Run(const core::StackConfig &config,
+        const std::vector<workload::SubmittedTask> &trace)
+        : stream(workload::TraceConfig{})
+    {
+        stack = std::make_unique<core::TaccStack>(config);
+        stack->submit_trace(trace);
+    }
+
     workload::SyntheticWorkloadStream stream;
     std::unique_ptr<core::TaccStack> stack;
 };
 
 uint64_t
-digest_to_completion(const core::ScenarioConfig &config)
+digest_to_completion(Run &run)
 {
-    Run run(config);
-    EXPECT_TRUE(run.stack->run_to_completion(config.max_events));
-    Fnv1a h;
-    fold_ops(h, *run.stack);
-    return h.value();
+    EXPECT_TRUE(run.stack->run_to_completion());
+    return ops_digest(*run.stack);
 }
 
 std::vector<driver::SweepScenario>
@@ -122,13 +142,9 @@ ci_grid()
                         : std::vector<driver::SweepScenario>{};
 }
 
-/**
- * Power-capped, serving, regress-prediction crisis run, advanced by
- * run_until in 600 s slices with tcloud status and report calls between
- * slices, then drained.
- */
-uint64_t
-sliced_crisis_digest(core::ScenarioConfig config)
+/** Power-capped, serving, regress-prediction crisis configuration. */
+core::ScenarioConfig
+crisis_config(core::ScenarioConfig config)
 {
     auto &stack_config = config.stack;
     stack_config.scheduler = "backfill-easy";
@@ -142,8 +158,16 @@ sliced_crisis_digest(core::ScenarioConfig config)
     EXPECT_TRUE(status.is_ok()) << status.str();
     config.trace.num_jobs = 150;
     config.trace.mean_interarrival_s = 90.0 / 1.4;
+    return config;
+}
 
-    Run run(config);
+/**
+ * The crisis run advanced by run_until in 600 s slices with tcloud
+ * status and report calls between slices, then drained.
+ */
+uint64_t
+sliced_crisis_digest(Run &run)
+{
     core::TaccStack &stack = *run.stack;
     tcloud::Client client;
     EXPECT_TRUE(client.add_cluster(stack.config().cluster.name, &stack)
@@ -165,7 +189,7 @@ sliced_crisis_digest(core::ScenarioConfig config)
         if (report.is_ok())
             h.str(report.value());
     }
-    EXPECT_TRUE(stack.run_to_completion(config.max_events));
+    EXPECT_TRUE(stack.run_to_completion());
     fold_ops(h, stack);
     return h.value();
 }
@@ -189,8 +213,8 @@ tie_spec(int i)
  * instants) under a scheduler whose 5-minute tick also lands on sample
  * instants: every same-instant order of sample and event shows.
  */
-uint64_t
-tie_digest()
+std::unique_ptr<Run>
+tie_run()
 {
     core::StackConfig config;
     config.cluster.topology.racks = 1;
@@ -198,47 +222,64 @@ tie_digest()
     config.cluster.node.gpu_count = 8;
     config.scheduler = "las";
     config.placement = "pack";
-    core::TaccStack stack(config);
     std::vector<workload::SubmittedTask> trace;
     for (int i = 0; i < 48; ++i) {
         const int64_t slot = 1 + i - i / 3; // every third shares a slot
         trace.push_back({TimePoint::origin() + Duration::seconds(30 * slot),
                          tie_spec(i)});
     }
-    stack.submit_trace(trace);
-    EXPECT_TRUE(stack.run_to_completion());
-    Fnv1a h;
-    fold_ops(h, stack);
-    return h.value();
+    return std::make_unique<Run>(config, trace);
+}
+
+/** One golden scenario: its name and a fresh stack, ready to run. */
+struct Scenario {
+    std::string name;
+    std::function<std::unique_ptr<Run>()> make;
+};
+
+std::vector<Scenario>
+golden_scenarios()
+{
+    std::vector<Scenario> out;
+    const auto grid = ci_grid();
+    EXPECT_EQ(grid.size(), 64u);
+    if (grid.size() != 64u)
+        return out;
+    auto from = [](core::ScenarioConfig config) {
+        return [config] { return std::make_unique<Run>(config); };
+    };
+    // Four fault-free points, then four storm points.
+    for (const size_t i : {0, 9, 18, 27, 36, 45, 54, 63})
+        out.push_back({"grid/" + grid[i].name, from(grid[i].config)});
+
+    core::ScenarioConfig period45 = grid[5].config;
+    period45.stack.ops.sample_period = Duration::seconds(45);
+    out.push_back({"period45/" + grid[5].name, from(period45)});
+
+    core::ScenarioConfig streaming = grid[40].config;
+    streaming.streaming = true;
+    streaming.trace.num_jobs = 200;
+    out.push_back({"streaming/" + grid[40].name, from(streaming)});
+
+    core::ScenarioConfig batch = streaming;
+    batch.streaming = false;
+    out.push_back({"batch/" + grid[40].name, from(batch)});
+
+    out.push_back({"sliced-crisis", from(crisis_config(grid[0].config))});
+    out.push_back({"ties-on-30s", tie_run});
+    return out;
 }
 
 std::map<std::string, uint64_t>
 compute_digests()
 {
     std::map<std::string, uint64_t> out;
-    const auto grid = ci_grid();
-    EXPECT_EQ(grid.size(), 64u);
-    if (grid.size() != 64u)
-        return out;
-    // Four fault-free points, then four storm points.
-    for (const size_t i : {0, 9, 18, 27, 36, 45, 54, 63})
-        out["grid/" + grid[i].name] = digest_to_completion(grid[i].config);
-
-    core::ScenarioConfig period45 = grid[5].config;
-    period45.stack.ops.sample_period = Duration::seconds(45);
-    out["period45/" + grid[5].name] = digest_to_completion(period45);
-
-    core::ScenarioConfig streaming = grid[40].config;
-    streaming.streaming = true;
-    streaming.trace.num_jobs = 200;
-    out["streaming/" + grid[40].name] = digest_to_completion(streaming);
-
-    core::ScenarioConfig batch = streaming;
-    batch.streaming = false;
-    out["batch/" + grid[40].name] = digest_to_completion(batch);
-
-    out["sliced-crisis"] = sliced_crisis_digest(grid[0].config);
-    out["ties-on-30s"] = tie_digest();
+    for (const Scenario &scenario : golden_scenarios()) {
+        auto run = scenario.make();
+        out[scenario.name] = scenario.name == "sliced-crisis"
+                                 ? sliced_crisis_digest(*run)
+                                 : digest_to_completion(*run);
+    }
     return out;
 }
 
@@ -276,6 +317,133 @@ TEST(OpsGolden, EveryScenarioMatchesRecordedDigest)
         EXPECT_EQ(it->second, Fnv1a::hex(digest))
             << name << "; actual digests:\n"
             << actual;
+    }
+}
+
+// Each golden scenario folds to one ops digest whoever drives it: the
+// stack's run_to_completion, its run_until in slices of 7 s, 45 s and
+// 1 h up to the instant the run quiesces (then run_to_completion), or
+// outside simulator().step() calls (then run_to_completion). The run
+// loops record a quiet run of sample instants in one pass; an outside
+// step records one instant.
+TEST(OpsGolden, EveryDriverFoldsToTheSameDigest)
+{
+    for (const Scenario &scenario : golden_scenarios()) {
+        SCOPED_TRACE(scenario.name);
+        auto reference = scenario.make();
+        ASSERT_TRUE(reference->stack->run_to_completion());
+        const TimePoint quiesced = reference->stack->simulator().now();
+        const uint64_t want = ops_digest(*reference->stack);
+        for (const Duration slice :
+             {Duration::seconds(7), Duration::seconds(45), Duration::hours(1)}) {
+            auto run = scenario.make();
+            for (TimePoint t = TimePoint::origin() + slice; t < quiesced;
+                 t += slice)
+                run->stack->run_until(t);
+            ASSERT_TRUE(run->stack->run_to_completion());
+            EXPECT_EQ(ops_digest(*run->stack), want)
+                << "run_until slices of " << slice.str();
+        }
+        auto stepped = scenario.make();
+        core::TaccStack &stack = *stepped->stack;
+        while (!stack.quiescent() && stack.simulator().step()) {
+        }
+        ASSERT_TRUE(stack.run_to_completion());
+        EXPECT_EQ(ops_digest(stack), want) << "outside steps";
+    }
+}
+
+/**
+ * A 32-GPU stack three 8-GPU jobs hold for days, with one job of a
+ * group capped at 0 GPUs waiting, stepped from outside until the step
+ * just taken was a sample instant with at least three more before the
+ * next event.
+ */
+std::unique_ptr<core::TaccStack>
+quiet_gap_stack()
+{
+    core::StackConfig config;
+    config.cluster.topology.racks = 1;
+    config.cluster.topology.nodes_per_rack = 4;
+    config.cluster.node.gpu_count = 8;
+    config.scheduler = "fifo";
+    config.group_quotas["capped"] = 0;
+    auto stack = std::make_unique<core::TaccStack>(config);
+    workload::TaskSpec spec = tie_spec(0);
+    spec.gpus = 8;
+    spec.iterations = 1'000'000'000;
+    spec.time_limit = Duration::days(30);
+    for (int i = 0; i < 3; ++i)
+        EXPECT_TRUE(stack->submit(spec).is_ok());
+    spec.group = "capped";
+    EXPECT_TRUE(stack->submit(spec).is_ok());
+    auto &sim = stack->simulator();
+    const Duration period = stack->config().ops.sample_period;
+    uint64_t samples = stack->ops()->samples_taken();
+    while (sim.step()) {
+        const bool sampled = stack->ops()->samples_taken() > samples;
+        samples = stack->ops()->samples_taken();
+        if (sampled && sim.now() > TimePoint::origin() + Duration::hours(1) &&
+            sim.next_event_time() > sim.now() + 4 * period)
+            break;
+    }
+    EXPECT_EQ(stack->running_count(), 3u);
+    EXPECT_EQ(stack->pending_count(), 1u);
+    return stack;
+}
+
+// A change made from outside between two outside steps inside a quiet
+// gap — submit, kill, cordon_node, drain_node, a quota change — shows in
+// the very next sample: an outside step records its own instant only,
+// so no sample was written ahead of the change.
+TEST(OpsGolden, OutsideChangeInAQuietGapShowsInTheNextSample)
+{
+    const std::vector<std::string> changes = {"submit", "kill", "cordon",
+                                              "drain", "quota"};
+    for (const std::string &change : changes) {
+        SCOPED_TRACE(change);
+        auto stack = quiet_gap_stack();
+        auto &sim = stack->simulator();
+        const ops::OpsCenter &ops = *stack->ops();
+        const TimePoint due = sim.now() + ops.config().sample_period;
+        if (change == "submit") {
+            workload::TaskSpec spec = tie_spec(1);
+            spec.gpus = 8;
+            spec.iterations = 1'000'000'000;
+            spec.time_limit = Duration::days(30);
+            ASSERT_TRUE(stack->submit(spec).is_ok());
+        } else if (change == "kill") {
+            ASSERT_TRUE(stack->kill(1).is_ok());
+        } else if (change == "cordon") {
+            ASSERT_TRUE(stack->cordon_node(3).is_ok());
+        } else if (change == "drain") {
+            ASSERT_TRUE(stack->drain_node(0).is_ok());
+        } else {
+            stack->set_group_quota("capped", 8);
+        }
+        const uint64_t before = ops.samples_taken();
+        while (ops.samples_taken() == before && sim.now() <= due &&
+               sim.step()) {
+        }
+        ASSERT_EQ(ops.samples_taken(), before + 1);
+        ASSERT_EQ(sim.now(), due);
+
+        const cluster::Cluster &cluster = stack->cluster();
+        const double total = double(cluster.total_gpus());
+        const std::vector<std::pair<const char *, double>> expected = {
+            {ops::series::kQueueDepth, double(stack->pending_count())},
+            {ops::series::kRunningJobs, double(stack->running_count())},
+            {ops::series::kGpuUtil, double(cluster.used_gpus()) / total},
+            {ops::series::kSchedulableCapacity,
+             double(cluster.schedulable_total_gpus()) / total},
+        };
+        const ops::MetricStore &store = ops.store();
+        for (const auto &[name, value] : expected) {
+            const auto latest = store.latest(store.find(name));
+            ASSERT_TRUE(latest.has_value()) << name;
+            EXPECT_EQ(latest->t, due) << name;
+            EXPECT_EQ(latest->v, value) << name;
+        }
     }
 }
 

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <optional>
 #include <vector>
@@ -618,6 +619,126 @@ TEST(MetricStoreProperty, WindowQueriesMatchFullScanReference)
     // Most trials wrap all three rings; the rest cover the unwrapped case.
     EXPECT_GT(wrapped_trials, 50);
     EXPECT_GT(wrapped_thrice_trials, 50);
+}
+
+/** Both stores hold the same series bit for bit: every retained raw
+ *  sample and every closed and open rollup at both resolutions. */
+void
+expect_identical_series(const MetricStore &a, const MetricStore &b,
+                        SeriesId id)
+{
+    auto bits = [](double v) { return std::bit_cast<uint64_t>(v); };
+    for (const Resolution res :
+         {Resolution::kRaw, Resolution::kMinute, Resolution::kHour}) {
+        const auto pa = a.range(id, TimePoint::origin(), TimePoint::max(), res);
+        const auto pb = b.range(id, TimePoint::origin(), TimePoint::max(), res);
+        ASSERT_EQ(pa.size(), pb.size()) << "resolution " << int(res);
+        for (size_t i = 0; i < pa.size(); ++i) {
+            ASSERT_EQ(pa[i].start, pb[i].start);
+            ASSERT_EQ(bits(pa[i].min), bits(pb[i].min));
+            ASSERT_EQ(bits(pa[i].max), bits(pb[i].max));
+            ASSERT_EQ(bits(pa[i].sum), bits(pb[i].sum));
+            ASSERT_EQ(bits(pa[i].last), bits(pb[i].last));
+            ASSERT_EQ(pa[i].count, pb[i].count);
+        }
+    }
+    ASSERT_EQ(a.samples_recorded(id), b.samples_recorded(id));
+}
+
+// record_run must leave a store exactly as the same samples recorded one
+// record() call at a time (and as the full-scan reference's own fold):
+// every raw sample and every closed and open minute and hour rollup,
+// compared bit for bit, and every hinted query
+// (whose shortcuts read the stretch of equal values record_run keeps).
+// Gauges and counters, piecewise-constant and noisy values, steps from
+// 0 (one instant) to 20 minutes, runs that cross minute and hour
+// boundaries, wrap the raw ring, or are longer than it.
+TEST(MetricStoreProperty, RecordRunMatchesSingleRecords)
+{
+    Rng rng(20261019);
+    int crossed_hour = 0;
+    int wrapped_raw = 0;
+    int longer_than_raw = 0;
+    const std::vector<Duration> steps = {Duration::zero(), 1_s, 7_s, 30_s,
+                                         45_s, 61_s, 20_min};
+    for (int trial = 0; trial < 120; ++trial) {
+        SCOPED_TRACE("trial " + std::to_string(trial));
+        MetricStoreConfig config;
+        config.raw_capacity = size_t(rng.uniform_int(1, 40));
+        config.minute_capacity = size_t(rng.uniform_int(1, 12));
+        config.hour_capacity = size_t(rng.uniform_int(1, 5));
+        MetricStore runs(config);
+        MetricStore singles(config);
+        FullScanSeries ref(config);
+        const SeriesKind kind =
+            trial % 2 ? SeriesKind::kCounter : SeriesKind::kGauge;
+        const SeriesId id = runs.define("s", kind);
+        ASSERT_EQ(singles.define("s", kind), id);
+        MetricStore::WindowHint hints[2][3];
+
+        TimePoint t = TimePoint::from_micros(rng.uniform_int(0, 7'200'000'000));
+        double level = rng.uniform(-5.0, 5.0);
+        for (int r = 0; r < 25; ++r) {
+            const Duration step = rng.pick(steps);
+            const size_t k = size_t(
+                rng.uniform_int(1, int64_t(3 * config.raw_capacity)));
+            std::vector<double> v(k);
+            const bool flat = rng.uniform() < 0.5;
+            for (double &x : v) {
+                if (kind == SeriesKind::kCounter) {
+                    if (!flat || rng.uniform() < 0.1)
+                        level += double(rng.uniform_int(0, 3));
+                } else if (!flat) {
+                    level = rng.uniform(-1.0, 1.0) *
+                            std::pow(10.0, double(rng.uniform_int(-3, 6)));
+                }
+                x = level;
+            }
+            wrapped_raw += runs.range(id, TimePoint::origin(),
+                                      TimePoint::max(), Resolution::kRaw)
+                                       .size() +
+                                   k >
+                               config.raw_capacity;
+            longer_than_raw += k > config.raw_capacity;
+            const TimePoint last = t + int64_t(k - 1) * step;
+            crossed_hour += last.to_micros() / 3'600'000'000 !=
+                            t.to_micros() / 3'600'000'000;
+
+            runs.record_run(id, t, step, v);
+            for (size_t i = 0; i < k; ++i) {
+                singles.record(id, t + int64_t(i) * step, v[i]);
+                ref.record(t + int64_t(i) * step, v[i]);
+            }
+            ASSERT_NO_FATAL_FAILURE(expect_identical_series(runs, singles, id));
+            for (const Resolution res :
+                 {Resolution::kRaw, Resolution::kMinute, Resolution::kHour}) {
+                ASSERT_NO_FATAL_FAILURE(expect_same_points(
+                    runs.range(id, TimePoint::origin(), TimePoint::max(), res),
+                    ref.range(TimePoint::origin(), TimePoint::max(), res)));
+            }
+
+            for (const Duration window : {30_s, 10_min, 2_h}) {
+                const size_t w = window == 30_s ? 0 : window == 10_min ? 1 : 2;
+                for (int side = 0; side < 2; ++side) {
+                    const MetricStore &store = side ? singles : runs;
+                    MetricStore::WindowHint &hint = hints[side][w];
+                    const auto mean =
+                        store.mean_if_data(id, last, window, &hint);
+                    const auto value = store.value_at(id, last, &hint);
+                    const double rate =
+                        store.rate_over(id, last, window, &hint);
+                    ASSERT_EQ(mean, singles.mean_if_data(id, last, window));
+                    ASSERT_EQ(value, singles.value_at(id, last));
+                    ASSERT_EQ(rate, singles.rate_over(id, last, window));
+                }
+            }
+            t = last + Duration::micros(rng.uniform_int(0, 1) *
+                                        rng.uniform_int(0, 5'400'000'000));
+        }
+    }
+    EXPECT_GT(crossed_hour, 100);
+    EXPECT_GT(wrapped_raw, 500);
+    EXPECT_GT(longer_than_raw, 500);
 }
 
 } // namespace
