@@ -12,9 +12,11 @@
  *    pattern of preemption and kill paths;
  *  - periodic-task re-arming (scheduler ticks);
  *  - end-to-end trace replay through TaccStack (simulated jobs per wall
- *    second);
- *  - the compiler layer per compile: cold (empty cache), and warm at 4
- *    and 64 MiB chunks, where every resident plan moves as one LRU run;
+ *    second), and trace generation alone;
+ *  - one cluster allocate + release;
+ *  - the compiler layer: chunking one artifact, and one compile cold
+ *    (empty cache) and warm at 4 and 64 MiB chunks, where every
+ *    resident plan moves as one LRU run;
  *  - the deep-queue read paths: a tcloud reader's 8 status ETAs at one
  *    stack state (one arrival-order walk, then table reads), and one
  *    runtime prediction from a warm regress key;
@@ -32,6 +34,8 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "cluster/cluster.h"
+#include "compiler/chunk_store.h"
 #include "compiler/compiler.h"
 #include "core/scenario.h"
 #include "core/stack.h"
@@ -183,6 +187,61 @@ BM_TraceReplay(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * jobs);
 }
 BENCHMARK(BM_TraceReplay)->Arg(500)->Arg(2000)
+    ->Unit(benchmark::kMillisecond);
+
+/** Workload synthesis alone: range(0) jobs from the default trace
+ *  generator (arrivals, specs, artifacts). */
+void
+BM_TraceGeneration(benchmark::State &state)
+{
+    workload::TraceConfig config;
+    config.num_jobs = bench::capped_jobs(int(state.range(0)));
+    for (auto _ : state) {
+        workload::TraceGenerator generator(config);
+        auto trace = generator.generate();
+        benchmark::DoNotOptimize(trace);
+    }
+    state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_TraceGeneration)->Arg(1000)->Unit(benchmark::kMillisecond);
+
+/** One allocate + release of a 4-node, 32-GPU placement on a cluster
+ *  of range(0) nodes. */
+void
+BM_ClusterAllocateRelease(benchmark::State &state)
+{
+    cluster::ClusterConfig config;
+    config.topology.racks = int(state.range(0)) / 8;
+    config.topology.nodes_per_rack = 8;
+    cluster::Cluster cluster(config);
+    cluster::Placement p;
+    for (cluster::NodeId n = 0; n < 4; ++n) {
+        cluster::PlacementSlice slice;
+        slice.node = n;
+        slice.gpu_indices.resize(8, 0);
+        p.slices.push_back(slice);
+    }
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(cluster.allocate(1, p));
+        benchmark::DoNotOptimize(cluster.release(1));
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ClusterAllocateRelease)->Arg(32)->Arg(256);
+
+/** Chunking a 2.2 GB artifact at 4 MiB, range(0) versions deep. */
+void
+BM_ChunkArtifact(benchmark::State &state)
+{
+    workload::Artifact artifact{"deps/torch", 2'200'000'000ULL,
+                                uint64_t(state.range(0))};
+    for (auto _ : state) {
+        auto chunks =
+            compiler::chunk_artifact(artifact, 4 * 1024 * 1024, 0.05);
+        benchmark::DoNotOptimize(chunks);
+    }
+}
+BENCHMARK(BM_ChunkArtifact)->Arg(1)->Arg(16)
     ->Unit(benchmark::kMillisecond);
 
 /** The trace generator's first spec: a user's code tree, the image's

@@ -4,9 +4,10 @@
  * accounting.
  *
  * Drives the reference campus deployment through an F2-style diurnal
- * backlog with node failures and deadline-carrying jobs, while a 24-hour
- * inference service (reactive autoscaler) exports its SLO attainment
- * into the same metric store. The tables are what an operator sees:
+ * backlog with node failures and deadline-carrying jobs, while the
+ * stack's serving plane answers a 24-hour diurnal request stream on
+ * autoscaled replicas and exports its SLO attainment into the same
+ * metric store. The tables are what an operator sees:
  *
  *   1. the hourly utilization / queue-depth timeline,
  *   2. the incident log — queue spikes, failure storms, deadline and
@@ -26,7 +27,6 @@
 
 #include "bench_util.h"
 #include "ops/report.h"
-#include "serve/service_sim.h"
 #include "workload/trace.h"
 
 using namespace tacc;
@@ -46,20 +46,18 @@ main()
     trace.mean_interarrival_s *= 4.2; // F2 calibration: busy, not pinned
     trace.frac_deadline = 0.15;
 
+    // Serving: a diurnal day of the stack's own request plane. Its
+    // replicas are 1-GPU jobs sharing the cluster with the backlog, and
+    // its windowed SLO attainment is an ops series like the others.
+    auto &serve = stack_config.serve;
+    serve.enabled = true;
+    serve.diurnal = true;
+    serve.request_rate_hz = 5.0;
+    serve.diurnal_peak_ratio = 4.0;
+    serve.horizon_s = 86400.0;
+
     core::TaccStack stack(stack_config);
     ops::OpsCenter *ops = stack.ops();
-
-    // Serving telemetry: price one diurnal day of the inference service
-    // under the reactive autoscaler and export per-epoch SLO attainment.
-    // Recorded before the replay starts, so alert evaluation encounters
-    // each epoch as simulated time reaches it.
-    serve::ServiceConfig service;
-    serve::ServiceSimulator serving(service);
-    serve::TargetUtilizationAutoscaler reactive(0.6);
-    serving.run(reactive, [&](const serve::EpochStats &epoch) {
-        ops->record_gauge(ops::series::kSloAttainment, epoch.start,
-                          epoch.attainment);
-    });
 
     stack.submit_trace(workload::TraceGenerator(trace).generate());
     stack.run_to_completion();

@@ -704,7 +704,7 @@ TaccStack::spawn_serve_replica(int slot)
 }
 
 std::string
-TaccStack::serving_report()
+TaccStack::serving_report() const
 {
     if (!serve_plane_)
         return "serving plane disabled\n";

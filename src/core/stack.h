@@ -311,8 +311,8 @@ class TaccStack
     std::string accounting_report(const std::string &group) const;
 
     /** `tcloud serve status`: replica pool, goodput, shed/retry/breaker
-     *  totals. Non-const: settles the plane's capacity accrual. */
-    std::string serving_report();
+     *  totals. */
+    std::string serving_report() const;
 
     /** Runs simulated time forward to t, ops samples due by t included. */
     void run_until(TimePoint t);

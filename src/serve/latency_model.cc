@@ -72,36 +72,4 @@ slo_attainment(int servers, double arrival_rate_hz,
     return attainment < 0.0 ? 0.0 : attainment;
 }
 
-ReplicaPlan
-plan_replicas_for_slo(double arrival_rate_hz, double service_rate_hz,
-                      double slo_s, double target, int max_servers)
-{
-    assert(max_servers >= 1);
-    ReplicaPlan plan;
-    for (int c = 1; c <= max_servers; ++c) {
-        const double attainment =
-            slo_attainment(c, arrival_rate_hz, service_rate_hz, slo_s);
-        if (attainment >= target) {
-            plan.replicas = c;
-            plan.attainable = true;
-            plan.attainment = attainment;
-            return plan;
-        }
-    }
-    plan.replicas = max_servers;
-    plan.attainable = false;
-    plan.attainment = slo_attainment(max_servers, arrival_rate_hz,
-                                     service_rate_hz, slo_s);
-    return plan;
-}
-
-int
-min_replicas_for_slo(double arrival_rate_hz, double service_rate_hz,
-                     double slo_s, double target, int max_servers)
-{
-    return plan_replicas_for_slo(arrival_rate_hz, service_rate_hz, slo_s,
-                                 target, max_servers)
-        .replicas;
-}
-
 } // namespace tacc::serve

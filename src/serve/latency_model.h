@@ -4,8 +4,8 @@
  *
  * A model served by c identical 1-GPU replicas under Poisson request
  * arrivals behaves (to first order) as an M/M/c queue. This header
- * implements the standard formulas the autoscalers and the serving
- * simulator price SLOs with:
+ * implements the standard formulas, kept as closed-form oracles for the
+ * simulated queues:
  *
  *  - Erlang-C: probability an arriving request must queue;
  *  - mean waiting time;
@@ -43,34 +43,5 @@ double wait_tail(int servers, double arrival_rate_hz,
  */
 double slo_attainment(int servers, double arrival_rate_hz,
                       double service_rate_hz, double slo_s);
-
-/** Result of planning a replica count against an SLO target. */
-struct ReplicaPlan {
-    /** Replicas to provision (== max_servers when unattainable). */
-    int replicas = 0;
-    /** False when even max_servers cannot meet the target — e.g. the
-     *  mean service time alone exceeds the SLO. Callers must not treat
-     *  `replicas` as sufficient in that case. */
-    bool attainable = false;
-    /** Predicted attainment at `replicas`. */
-    double attainment = 0;
-};
-
-/**
- * Smallest replica count whose attainment meets `target` (e.g. 0.99)
- * for the given rates and SLO, capped at max_servers — with an explicit
- * attainability verdict instead of silently pinning the pool.
- */
-ReplicaPlan plan_replicas_for_slo(double arrival_rate_hz,
-                                  double service_rate_hz, double slo_s,
-                                  double target, int max_servers);
-
-/**
- * Legacy scalar form of plan_replicas_for_slo. Returns max_servers
- * when even that does not suffice — prefer the plan form, which says
- * so explicitly.
- */
-int min_replicas_for_slo(double arrival_rate_hz, double service_rate_hz,
-                         double slo_s, double target, int max_servers);
 
 } // namespace tacc::serve

@@ -617,31 +617,35 @@ RequestPlane::record_goodput(TimePoint t)
 void
 RequestPlane::accrue_capacity(TimePoint now)
 {
-    // Called BEFORE any up-count change: integrates the current
-    // surviving capacity (requests/s) over [accrued_to, now), split
-    // across report buckets.
-    const double bucket_s = std::max(1.0, config_.series_bucket_s);
-    double from = capacity_accrued_to_.to_seconds();
-    const double to = now.to_seconds();
+    // Called BEFORE any up-count change: commits the current surviving
+    // capacity over [accrued_to, now).
+    const double from = capacity_accrued_to_.to_seconds();
     capacity_accrued_to_ = now;
-    if (to <= from)
+    add_capacity(capacity_buckets_, from, now.to_seconds());
+}
+
+void
+RequestPlane::add_capacity(std::vector<double> &buckets, double from_s,
+                           double to_s) const
+{
+    if (to_s <= from_s)
         return;
     const double rate_hz =
         replicas_up() * config_.per_replica_capacity_hz();
     if (rate_hz <= 0)
         return;
-    while (from < to) {
-        const size_t bucket = size_t(from / bucket_s);
-        const double end = std::min(to, double(bucket + 1) * bucket_s);
-        bump_bucket(capacity_buckets_, bucket, rate_hz * (end - from));
-        from = end;
+    const double bucket_s = std::max(1.0, config_.series_bucket_s);
+    while (from_s < to_s) {
+        const size_t bucket = size_t(from_s / bucket_s);
+        const double end = std::min(to_s, double(bucket + 1) * bucket_s);
+        bump_bucket(buckets, bucket, rate_hz * (end - from_s));
+        from_s = end;
     }
 }
 
 ServingReport
-RequestPlane::report()
+RequestPlane::report() const
 {
-    accrue_capacity(sim_.now());
     ServingReport out;
     out.counters = counters_;
     out.slo_attainment =
@@ -654,6 +658,8 @@ RequestPlane::report()
     out.offered = offered_buckets_;
     out.goodput = goodput_buckets_;
     out.capacity = capacity_buckets_;
+    add_capacity(out.capacity, capacity_accrued_to_.to_seconds(),
+                 sim_.now().to_seconds());
     return out;
 }
 

@@ -1,16 +1,16 @@
 /**
  * @file
- * Request-granular serving plane (the T20 subsystem).
+ * Request-granular serving plane: the one serving model (T11, T13,
+ * T20).
  *
- * Replaces the analytic M/M/c epoch view with an actual request path on
- * the discrete-event simulator: an open-loop arrival process (diurnal
- * curve plus an optional burst window, generated in bounded windows via
- * the streaming batched-event path so a day of millions of requests
- * runs in flat memory), per-replica bounded batching queues, and the
- * robustness stack from robustness.h — SLO-aware admission, per-tenant
- * retry budgets with backoff + decorrelated jitter, per-replica
- * circuit breakers fed by node health, and tiered graceful
- * degradation.
+ * An actual request path on the discrete-event simulator: an open-loop
+ * arrival process (diurnal curve plus an optional burst window,
+ * generated in bounded windows via the streaming batched-event path so
+ * a day of millions of requests runs in flat memory), per-replica
+ * bounded batching queues, and the robustness stack from robustness.h —
+ * SLO-aware admission, per-tenant retry budgets with backoff +
+ * decorrelated jitter, per-replica circuit breakers fed by node health,
+ * and tiered graceful degradation.
  *
  * The plane knows nothing about the cluster: replicas are opaque slots
  * backed by PlaneHooks (the embedding TaccStack spawns a 1-GPU
@@ -216,8 +216,10 @@ class RequestPlane
     int queue_depth() const;
     bool slo_unattainable() const { return slo_unattainable_; }
     const RetryBudget &tenant_budget(int tenant) const;
-    /** Non-const: settles the capacity accrual up to now(). */
-    ServingReport report();
+    /** Snapshot up to now(); the capacity series includes the pending
+     *  interval since the last up-count change, and nothing is
+     *  committed, so reading never changes a later report. */
+    ServingReport report() const;
 
   private:
     struct Request {
@@ -263,6 +265,10 @@ class RequestPlane
     void record_offered(TimePoint t);
     void record_goodput(TimePoint t);
     void accrue_capacity(TimePoint now);
+    /** Adds the current surviving capacity over [from_s, to_s) to
+     *  buckets, split at bucket boundaries. */
+    void add_capacity(std::vector<double> &buckets, double from_s,
+                      double to_s) const;
     static void bump_bucket(std::vector<double> &buckets, size_t index,
                             double amount);
 

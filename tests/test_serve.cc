@@ -1,13 +1,12 @@
 /**
  * @file
- * Tests for the inference-serving substrate: Erlang-C math, autoscaler
- * policies, and the epoch simulator.
+ * Tests for the M/M/c formulas: Erlang-C, mean wait and SLO attainment.
  */
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "serve/service_sim.h"
+#include "serve/latency_model.h"
 
 namespace tacc::serve {
 namespace {
@@ -62,102 +61,6 @@ TEST(SloAttainment, BoundsAndShape)
         EXPECT_LE(slo_attainment(c, 20.0, 10.0, 0.5),
                   slo_attainment(c + 1, 20.0, 10.0, 0.5) + 1e-12);
     }
-}
-
-TEST(MinReplicas, FindsSmallestSufficientCount)
-{
-    const int c = min_replicas_for_slo(50.0, 10.0, 0.5, 0.99, 64);
-    ASSERT_GT(c, 5); // needs more than the bare capacity floor
-    EXPECT_GE(slo_attainment(c, 50.0, 10.0, 0.5), 0.99);
-    EXPECT_LT(slo_attainment(c - 1, 50.0, 10.0, 0.5), 0.99);
-    // Cap respected when the target is unreachable.
-    EXPECT_EQ(min_replicas_for_slo(1000.0, 10.0, 0.5, 0.99, 16), 16);
-}
-
-TEST(Autoscalers, StaticIsFixedAndCapped)
-{
-    StaticAutoscaler fixed(10);
-    ScaleContext ctx;
-    ctx.max_replicas = 6;
-    EXPECT_EQ(fixed.decide(ctx), 6);
-    ctx.max_replicas = 64;
-    EXPECT_EQ(fixed.decide(ctx), 10);
-}
-
-TEST(Autoscalers, TargetUtilizationTracksRate)
-{
-    TargetUtilizationAutoscaler scaler(0.5);
-    ScaleContext ctx;
-    ctx.service_rate_hz = 10.0;
-    ctx.max_replicas = 64;
-    ctx.arrival_rate_hz = 100.0; // needs 100/(10*0.5) = 20
-    EXPECT_EQ(scaler.decide(ctx), 20);
-    ctx.arrival_rate_hz = 0.0;
-    EXPECT_EQ(scaler.decide(ctx), 0);
-    ctx.arrival_rate_hz = 1e6;
-    EXPECT_EQ(scaler.decide(ctx), 64); // capped
-}
-
-TEST(Autoscalers, SloAwareMeetsTargetWithHeadroom)
-{
-    SloAwareAutoscaler scaler(1.2);
-    ScaleContext ctx;
-    ctx.arrival_rate_hz = 50.0;
-    ctx.service_rate_hz = 10.0;
-    ctx.slo_s = 0.5;
-    ctx.slo_target = 0.99;
-    ctx.max_replicas = 64;
-    const int c = scaler.decide(ctx);
-    EXPECT_GE(slo_attainment(c, 50.0, 10.0, 0.5), 0.99);
-    EXPECT_EQ(scaler.decide(ScaleContext{}), 0); // idle service
-}
-
-TEST(ServiceSimulator, RatesFollowTheDiurnalCurve)
-{
-    ServiceConfig config;
-    config.peak_rate_hz = 100.0;
-    config.trough_fraction = 0.2;
-    ServiceSimulator sim(config);
-    const double midnight =
-        sim.arrival_rate_hz(TimePoint::origin());
-    const double noon = sim.arrival_rate_hz(
-        TimePoint::origin() + Duration::hours(12));
-    EXPECT_NEAR(midnight, 20.0, 1e-9);
-    EXPECT_NEAR(noon, 100.0, 1e-9);
-    EXPECT_GT(sim.service_rate_hz(), 0.0);
-}
-
-TEST(ServiceSimulator, SloAwareBeatsStaticMeanAndCostsLessThanPeak)
-{
-    ServiceConfig config;
-    config.peak_rate_hz = 300.0;
-    config.pool_gpus = 64;
-    ServiceSimulator sim(config);
-
-    // Baselines sized from the model.
-    const int for_peak = min_replicas_for_slo(
-        config.peak_rate_hz, sim.service_rate_hz(), config.slo_s, 0.99,
-        config.pool_gpus);
-    const int for_mean = std::max(
-        1, int(std::ceil(config.peak_rate_hz * 0.55 /
-                         sim.service_rate_hz())));
-    StaticAutoscaler peak(for_peak, "static-peak");
-    StaticAutoscaler mean(for_mean, "static-mean");
-    SloAwareAutoscaler slo;
-
-    const auto r_peak = sim.run(peak);
-    const auto r_mean = sim.run(mean);
-    const auto r_slo = sim.run(slo);
-
-    // Peak provisioning is near-perfect but expensive.
-    EXPECT_GT(r_peak.mean_attainment, 0.99);
-    // SLO-aware nearly matches it at a fraction of the replica-hours.
-    EXPECT_GT(r_slo.mean_attainment, 0.97);
-    EXPECT_LT(r_slo.replica_hours, r_peak.replica_hours * 0.8);
-    // Mean provisioning melts at the daily peak.
-    EXPECT_LT(r_mean.mean_attainment, r_slo.mean_attainment);
-    EXPECT_EQ(r_slo.epochs.size(),
-              size_t(config.horizon / config.epoch));
 }
 
 } // namespace

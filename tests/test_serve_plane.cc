@@ -8,6 +8,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -206,6 +209,100 @@ TEST(ServePlane, OpsSeriesAndAlertsAreWired)
             saw_shed_alert = true;
     }
     EXPECT_TRUE(saw_shed_alert);
+}
+
+TEST(ServePlane, ReadingTheReportCommitsNothing)
+{
+    // A `serve status` reader between events must not change what the
+    // run reports: the capacity series stays bit for bit the same.
+    const auto capacity_bits = [](bool read, uint64_t seed) {
+        StackConfig config = serving_config();
+        config.serve.horizon_s = 3600.0;
+        config.seed = seed;
+        TaccStack stack(config);
+        for (double t = 7.0; !stack.quiescent() && t < 4 * 3600.0;
+             t += 7.0) {
+            stack.run_until(TimePoint::origin() + Duration::from_seconds(t));
+            if (read)
+                (void)stack.serving_report();
+        }
+        EXPECT_TRUE(stack.run_to_completion());
+        std::vector<uint64_t> bits;
+        for (const double c : stack.serve_plane()->report().capacity)
+            bits.push_back(std::bit_cast<uint64_t>(c));
+        return bits;
+    };
+    for (uint64_t seed = 1; seed <= 10; ++seed) {
+        const auto quiet = capacity_bits(false, seed);
+        ASSERT_FALSE(quiet.empty());
+        EXPECT_EQ(capacity_bits(true, seed), quiet) << "seed " << seed;
+    }
+}
+
+/** Replica-hours of a finished run, from its capacity series. */
+double
+replica_hours(const TaccStack &stack)
+{
+    const auto *plane = stack.serve_plane();
+    double capacity = 0;
+    for (const double c : plane->report().capacity)
+        capacity += c;
+    return capacity / plane->config().per_replica_capacity_hz() / 3600.0;
+}
+
+TEST(ServePlane, AutoscalerTracksTheDiurnalPeakAtLowerCost)
+{
+    // Half a diurnal day through the noon peak (3 -> 18 req/s) on
+    // replicas of 5 req/s each, with a 2 s SLO.
+    StackConfig base = serving_config();
+    auto &serve = base.serve;
+    serve.diurnal = true;
+    serve.request_rate_hz = 3.0;
+    serve.diurnal_peak_ratio = 6.0;
+    serve.horizon_s = 13 * 3600.0;
+    serve.max_batch = 2;
+    serve.batch_fixed_s = 0.2;
+    serve.batch_per_request_s = 0.1;
+    serve.scale_period_s = 60.0;
+    serve.slo_s = 2.0;
+    serve.client_timeout_s = 4.0;
+    // No cheap tier: a pool short of the offered rate must show it.
+    serve.degrade = false;
+    serve.initial_replicas = 1;
+    serve.max_replicas = 8;
+    const double capacity_hz = serve.per_replica_capacity_hz();
+    ASSERT_DOUBLE_EQ(capacity_hz, 5.0);
+
+    const auto run = [](StackConfig config, int fixed_pool) {
+        if (fixed_pool > 0) {
+            config.serve.autoscale = false;
+            config.serve.initial_replicas = fixed_pool;
+            config.serve.min_replicas = fixed_pool;
+            config.serve.max_replicas = fixed_pool;
+        }
+        auto stack = std::make_unique<TaccStack>(config);
+        EXPECT_TRUE(stack->run_to_completion());
+        expect_conservation(stack->serve_plane()->counters());
+        return stack;
+    };
+    const double peak_hz = serve.request_rate_hz * serve.diurnal_peak_ratio;
+    const double mean_hz =
+        serve.request_rate_hz * (1.0 + serve.diurnal_peak_ratio) / 2.0;
+    const auto peak = run(
+        base, int(std::ceil(peak_hz * serve.scale_headroom / capacity_hz)));
+    const auto mean = run(base, int(std::ceil(mean_hz / capacity_hz)));
+    const auto scaled = run(base, 0);
+
+    const double peak_attain = peak->serve_plane()->report().slo_attainment;
+    const double mean_attain = mean->serve_plane()->report().slo_attainment;
+    const double scaled_attain =
+        scaled->serve_plane()->report().slo_attainment;
+    // A pool sized for the day's mean melts at the peak...
+    EXPECT_LT(mean_attain, 0.9);
+    // ...the autoscaled plane keeps peak-level attainment...
+    EXPECT_GT(scaled_attain, peak_attain - 0.005);
+    // ...at a clearly smaller bill.
+    EXPECT_LE(replica_hours(*scaled), 0.8 * replica_hours(*peak));
 }
 
 ScenarioConfig

@@ -2,9 +2,9 @@
  * @file
  * Property tests for the overload-robustness primitives: the circuit
  * breaker state machine, SLO-aware admission purity, retry-budget
- * conservation under arbitrary interleavings, decorrelated jitter
- * bounds, and the SLO attainability verdict. All pure and worker-count
- * independent — no simulator involved.
+ * conservation under arbitrary interleavings and decorrelated jitter
+ * bounds. All pure and worker-count independent — no simulator
+ * involved.
  */
 #include <gtest/gtest.h>
 
@@ -13,8 +13,6 @@
 
 #include "common/rng.h"
 #include "exec/failure.h"
-#include "serve/autoscaler.h"
-#include "serve/latency_model.h"
 #include "serve/robustness.h"
 
 namespace tacc::serve {
@@ -291,50 +289,6 @@ TEST(ExecRequeueJitter, OnIsBoundedDecorrelatedAndPerJob)
             jobs_differ = true;
     }
     EXPECT_TRUE(jobs_differ);
-}
-
-TEST(ReplicaPlan, AttainableMatchesLegacyScalar)
-{
-    const auto plan = plan_replicas_for_slo(50.0, 10.0, 0.5, 0.99, 64);
-    EXPECT_TRUE(plan.attainable);
-    EXPECT_EQ(plan.replicas,
-              min_replicas_for_slo(50.0, 10.0, 0.5, 0.99, 64));
-    EXPECT_GE(plan.attainment, 0.99);
-    EXPECT_GE(slo_attainment(plan.replicas, 50.0, 10.0, 0.5), 0.99);
-}
-
-TEST(ReplicaPlan, UnattainableIsExplicit)
-{
-    // Demand far beyond the pool: the plan pins max but says so.
-    const auto over = plan_replicas_for_slo(1000.0, 10.0, 0.5, 0.99, 16);
-    EXPECT_FALSE(over.attainable);
-    EXPECT_EQ(over.replicas, 16);
-    EXPECT_LT(over.attainment, 0.99);
-    // An SLO below the mean service time is unattainable at any count.
-    const auto tight = plan_replicas_for_slo(1.0, 10.0, 0.05, 0.99, 64);
-    EXPECT_FALSE(tight.attainable);
-}
-
-TEST(SloAwareAutoscaler, LatchesUnattainableAndRecovers)
-{
-    SloAwareAutoscaler scaler(1.2);
-    ScaleContext ctx;
-    ctx.service_rate_hz = 10.0;
-    ctx.slo_s = 0.5;
-    ctx.slo_target = 0.99;
-    ctx.max_replicas = 8;
-
-    ctx.arrival_rate_hz = 20.0;
-    EXPECT_GT(scaler.decide(ctx), 0);
-    EXPECT_FALSE(scaler.slo_unattainable());
-
-    ctx.arrival_rate_hz = 500.0; // demand >> 8-replica pool
-    EXPECT_EQ(scaler.decide(ctx), 8);
-    EXPECT_TRUE(scaler.slo_unattainable());
-
-    ctx.arrival_rate_hz = 20.0; // demand subsides: flag resets
-    EXPECT_GT(scaler.decide(ctx), 0);
-    EXPECT_FALSE(scaler.slo_unattainable());
 }
 
 } // namespace
