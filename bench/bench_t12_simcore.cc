@@ -21,8 +21,10 @@
  *    stack state (one arrival-order walk, then table reads), and one
  *    runtime prediction from a warm regress key;
  *  - the ops layer per sample instant: inside a quiet run of instants
- *    (one pass for the run) and alone (one pass per instant, the path
- *    of an instant that follows an event).
+ *    (one append for the run) and alone (the instant an outside step
+ *    or an event next to it leaves), each with its share of a chunk's
+ *    recording;
+ *  - one energy-ledger advance over 64 and 512 active segments.
  *
  * Run with --benchmark_format=json to emit the machine-readable series
  * recorded in EXPERIMENTS.md (baseline vs. optimized engine).
@@ -30,6 +32,7 @@
 #include <benchmark/benchmark.h>
 
 #include <functional>
+#include <string>
 #include <memory>
 #include <vector>
 
@@ -40,6 +43,7 @@
 #include "core/scenario.h"
 #include "core/stack.h"
 #include "ops/ops_center.h"
+#include "power/power_manager.h"
 #include "predict/runtime_model.h"
 #include "sim/simulator.h"
 #include "workload/model.h"
@@ -378,8 +382,9 @@ ops_stack()
 
 /**
  * Ops cost per sample instant when range(0) instants pass with no event
- * between them: one sample_run pass for the whole run, as the stack's
- * run loops give it (items = instants).
+ * between them: one append for the whole run, as the stack's run loops
+ * give it, with the recording of each full chunk of 64 instants
+ * amortized over them (items = instants).
  */
 void
 BM_OpsQuietGap(benchmark::State &state)
@@ -394,7 +399,7 @@ BM_OpsQuietGap(benchmark::State &state)
     const Duration period = ops.config().sample_period;
     TimePoint t = stack->simulator().now() + period;
     for (auto _ : state) {
-        ops.sample_run(t, k);
+        ops.append(t, k);
         benchmark::DoNotOptimize(&ops);
         benchmark::ClobberMemory();
         t += int64_t(k) * period;
@@ -403,7 +408,12 @@ BM_OpsQuietGap(benchmark::State &state)
 }
 BENCHMARK(BM_OpsQuietGap)->Arg(29)->Unit(benchmark::kMicrosecond);
 
-/** The one-instant path: a sample instant with an event on each side. */
+/**
+ * The price of one appended instant with an event on each side (an
+ * outside step, or an instant right before an event): its values are
+ * read at the instant, and the recording of each full chunk of 64
+ * instants is amortized over them.
+ */
 void
 BM_OpsBusySample(benchmark::State &state)
 {
@@ -412,7 +422,7 @@ BM_OpsBusySample(benchmark::State &state)
     const Duration period = ops.config().sample_period;
     TimePoint t = stack->simulator().now() + period;
     for (auto _ : state) {
-        ops.sample_run(t, 1);
+        ops.append(t);
         benchmark::DoNotOptimize(&ops);
         benchmark::ClobberMemory();
         t += period;
@@ -420,6 +430,44 @@ BM_OpsBusySample(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_OpsBusySample)->Unit(benchmark::kMicrosecond);
+
+/**
+ * One energy-ledger advance with range(0) active segments (1 GPU each,
+ * every fourth at a DVFS clock, 16 groups) on a 64-node cluster: the
+ * walk the power source and every segment start and stop make.
+ */
+void
+BM_PowerAdvance(benchmark::State &state)
+{
+    cluster::ClusterConfig config;
+    config.topology.racks = 8;
+    config.topology.nodes_per_rack = 8;
+    const cluster::Cluster cl(config);
+    power::PowerConfig power;
+    power.enabled = true;
+    power.policy = "dvfs";
+    power::PowerManager pm(cl, power);
+    const int segments = int(state.range(0));
+    const int nodes = cl.node_count();
+    TimePoint t = TimePoint::origin();
+    for (int i = 0; i < segments; ++i) {
+        cluster::Placement placement;
+        cluster::PlacementSlice slice;
+        slice.node = cluster::NodeId(i % nodes);
+        slice.gpu_indices.push_back(i / nodes % 8);
+        placement.slices.push_back(std::move(slice));
+        pm.on_segment_start(cluster::JobId(i + 1),
+                            "group" + std::to_string(i % 16), placement,
+                            0.9, i % 4 == 0 ? 0.8 : 1.0, t);
+    }
+    for (auto _ : state) {
+        t += Duration::seconds(1);
+        pm.advance(t);
+        benchmark::DoNotOptimize(pm.energy_kwh());
+    }
+    state.SetItemsProcessed(state.iterations() * segments);
+}
+BENCHMARK(BM_PowerAdvance)->Arg(64)->Arg(512);
 
 /** One runtime prediction from a warm regress key (64 completions). */
 void

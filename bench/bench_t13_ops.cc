@@ -68,7 +68,7 @@ main()
     TimePoint now = drained;
     for (int i = 1; i <= 48; ++i) {
         now = drained + Duration::minutes(5 * i);
-        ops->sample(now);
+        ops->append(now);
     }
 
     std::fputs(ops::render_timeline(ops->store(), TimePoint::origin(),

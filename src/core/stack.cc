@@ -370,17 +370,18 @@ TaccStack::wire_ops()
     // Sampled by the simulator's pre-fire watch: every sample_period,
     // where a periodic task would fire, but with no event per sample.
     // Inside the stack's own run loops the first instant of a quiet run
-    // records the whole run, and the run's later instants only advance
+    // takes the whole run, and the run's later instants only advance
     // the clock; an outside caller stepping the simulator gets one
-    // instant per step, so nothing is recorded ahead of a point where
-    // it can read or change the stack.
+    // instant per step, so no value is read ahead of a point where it
+    // can read or change the stack. Either way the instants join the
+    // ops center's pending chunk.
     sim_.set_watch(config_.ops.sample_period, [this](TimePoint now) {
-        if (now <= ops_recorded_until_)
+        if (now <= ops_taken_until_)
             return;
         const size_t k =
             ops_run_bound_ ? sim_.quiet_instants(*ops_run_bound_) : 1;
-        ops_->sample_run(now, k);
-        ops_recorded_until_ =
+        ops_->append(now, k);
+        ops_taken_until_ =
             now + int64_t(k - 1) * config_.ops.sample_period;
     });
 }
@@ -627,14 +628,15 @@ TaccStack::run_to_completion(uint64_t max_events)
             break;
     }
     ops_run_bound_.reset();
-    assert(sim_.now() >= ops_recorded_until_);
+    assert(sim_.now() >= ops_taken_until_);
     if (tick_)
         tick_->stop();
     if (ops_) {
         sim_.clear_watch();
         // Close the books with a final sample at the quiesce instant so
         // the last partial rollup buckets and alert states are current.
-        ops_->sample(sim_.now());
+        ops_->append(sim_.now());
+        ops_->flush();
     }
     if (power_)
         power_->advance(sim_.now()); // close the energy ledger
@@ -1182,9 +1184,10 @@ TaccStack::estimated_start(cluster::JobId id) const
         walk.now = sim_.now();
         walk.free_gpus = cluster_.free_gpus();
         walk.observations = observations;
-        walk.profile.reset(sim_.now(), cluster_.free_gpus());
+        walk.releases.clear();
         for (const sched::RunningInfo &r : views_.running())
-            walk.profile.add_release(r.expected_end, r.job->running_gpus());
+            walk.releases.push_back({r.expected_end, r.job->running_gpus()});
+        walk.profile.reset(sim_.now(), cluster_.free_gpus(), walk.releases);
         walk.fit.clear();
         ++walk.walks;
     }

@@ -420,6 +420,8 @@ class TaccStack
         uint64_t observations = 0;
         /** The running releases plus every walked job's reservation. */
         sched::CapacityProfile profile{TimePoint::origin(), 0};
+        /** The running jobs' releases, kept for reuse. */
+        std::vector<sched::CapacityProfile::Release> releases;
         /** fit[i]: the estimated start of pending()[i]. */
         std::vector<TimePoint> fit;
         uint64_t walks = 0;
@@ -430,8 +432,8 @@ class TaccStack
     /** The bound of the stack's run loop that is stepping (run_until's
      *  t, or max), unset while an outside caller steps the simulator. */
     std::optional<TimePoint> ops_run_bound_;
-    /** The last sample instant a quiet run already recorded. */
-    TimePoint ops_recorded_until_ = TimePoint::origin();
+    /** The last sample instant a quiet run already took. */
+    TimePoint ops_taken_until_ = TimePoint::origin();
     ///@}
 };
 

@@ -135,6 +135,7 @@ OpsCenter::add_gauge_source(const std::string &name, SourceFn fn,
                             Reads reads)
 {
     assert(fn);
+    flush(); // a chunk's values cover the sources it was taken with
     sources_.push_back(Source{store_.define(name, SeriesKind::kGauge),
                               std::move(fn), reads});
 }
@@ -144,6 +145,7 @@ OpsCenter::add_counter_source(const std::string &name, SourceFn fn,
                               Reads reads)
 {
     assert(fn);
+    flush();
     sources_.push_back(Source{store_.define(name, SeriesKind::kCounter),
                               std::move(fn), reads});
 }
@@ -152,119 +154,128 @@ void
 OpsCenter::add_multi_source(MultiSourceFn fn)
 {
     assert(fn);
+    flush();
     multi_sources_.push_back(std::move(fn));
 }
 
 void
 OpsCenter::record_gauge(const std::string &name, TimePoint t, double v)
 {
+    flush();
     store_.record(store_.define(name, SeriesKind::kGauge), t, v);
 }
 
 void
-OpsCenter::sample(TimePoint now)
+OpsCenter::append(TimePoint first, size_t k)
 {
-    for (const auto &source : sources_)
-        store_.record(source.id, now, source.fn(now));
-    readings_.clear();
-    for (const auto &fn : multi_sources_)
-        fn(store_, now, readings_);
-    for (const Reading &r : readings_)
-        store_.record(r.id, now, r.v);
-    alerts_.evaluate(store_, now);
-    ++samples_;
+    assert(k > 0);
+    const Duration period = config_.sample_period;
+    const size_t n = sources_.size();
+    const size_t capacity = std::min(kRunChunk, store_.raw_capacity());
+    Chunk &c = chunk_;
+    if (c.count > 0 && first != c.first + int64_t(c.count) * period)
+        flush();
+    c.values.resize(n * kRunChunk);
+    c.ends.resize(kRunChunk);
+    polled_.resize(n);
+    for (size_t s = 0; s < n; ++s) {
+        if (sources_[s].reads == Reads::kState)
+            polled_[s] = sources_[s].fn(first);
+    }
+    for (size_t done = 0; done < k;) {
+        if (c.count == 0)
+            c.first = first + int64_t(done) * period;
+        const size_t m = std::min(capacity - c.count, k - done);
+        auto at = [&](size_t i) {
+            return first + int64_t(done + i) * period;
+        };
+        // The values of the instants this chunk takes, in time order
+        // per source.
+        for (size_t s = 0; s < n; ++s) {
+            double *column = &c.values[s * kRunChunk + c.count];
+            if (sources_[s].reads == Reads::kState) {
+                std::fill_n(column, m, polled_[s]);
+            } else {
+                for (size_t i = 0; i < m; ++i)
+                    column[i] = sources_[s].fn(at(i));
+            }
+        }
+        for (size_t i = 0; i < m; ++i) {
+            for (const auto &fn : multi_sources_)
+                fn(store_, at(i), c.readings);
+            c.ends[c.count + i] = c.readings.size();
+        }
+        c.count += m;
+        done += m;
+        if (c.count == capacity)
+            flush();
+    }
 }
 
 void
-OpsCenter::sample_run(TimePoint first, size_t k)
+OpsCenter::record_chunk() const
 {
-    assert(k > 0);
-    if (k == 1) {
-        sample(first);
-        return;
-    }
+    Chunk &c = chunk_;
     const Duration period = config_.sample_period;
     const size_t n = sources_.size();
-    const size_t chunk = std::min(kRunChunk, store_.raw_capacity());
-    run_values_.resize(n * kRunChunk);
-    reading_ends_.resize(kRunChunk);
+    const size_t m = c.count;
+    const TimePoint start = c.first;
+    auto at = [start, period](size_t i) {
+        return start + int64_t(i) * period;
+    };
+    // Readings of the same series at every instant (the usual shape)
+    // can be recorded a series at a time.
+    const size_t per = c.ends[0];
+    bool columns = true;
+    for (size_t i = 1; columns && i < m; ++i) {
+        columns = c.ends[i] == (i + 1) * per;
+        for (size_t j = 0; columns && j < per; ++j)
+            columns = c.readings[i * per + j].id == c.readings[j].id;
+    }
+
+    // A series is recorded ahead, a chunk in one call, unless a rule
+    // must read it instant by instant or two producers write it (their
+    // samples then interleave by instant).
+    c.run_counts.assign(store_.series_count(), 0);
+    for (const Source &source : sources_)
+        c.run_counts[size_t(source.id)] += uint32_t(m);
+    for (const Reading &r : c.readings)
+        ++c.run_counts[size_t(r.id)];
+    c.held.assign(c.run_counts.size(), 0);
+    for (size_t id = 0; id < c.run_counts.size(); ++id)
+        c.held[id] = c.run_counts[id] > m;
+    alerts_.hold_back(store_, start, period, m, c.run_counts, c.held);
+
     for (size_t s = 0; s < n; ++s) {
-        if (sources_[s].reads == Reads::kState)
-            std::fill_n(&run_values_[s * kRunChunk], kRunChunk,
-                        sources_[s].fn(first));
+        if (!c.held[size_t(sources_[s].id)])
+            store_.record_run(sources_[s].id, start, period,
+                              {&c.values[s * kRunChunk], m});
     }
-    for (size_t done = 0; done < k; done += chunk) {
-        const size_t m = std::min(chunk, k - done);
-        const TimePoint start = first + int64_t(done) * period;
-        auto at = [start, period](size_t i) {
-            return start + int64_t(i) * period;
-        };
-        // Every value of the chunk, in time order per source.
-        for (size_t s = 0; s < n; ++s) {
-            if (sources_[s].reads == Reads::kClock) {
-                for (size_t i = 0; i < m; ++i)
-                    run_values_[s * kRunChunk + i] = sources_[s].fn(at(i));
-            }
+    if (columns) {
+        c.column.resize(m);
+        for (size_t j = 0; j < per; ++j) {
+            if (c.held[size_t(c.readings[j].id)])
+                continue;
+            for (size_t i = 0; i < m; ++i)
+                c.column[i] = c.readings[i * per + j].v;
+            store_.record_run(c.readings[j].id, start, period, c.column);
         }
-        readings_.clear();
-        for (size_t i = 0; i < m; ++i) {
-            for (const auto &fn : multi_sources_)
-                fn(store_, at(i), readings_);
-            reading_ends_[i] = readings_.size();
-        }
-        // Readings of the same series at every instant (the usual
-        // shape) can be recorded a series at a time.
-        const size_t per = reading_ends_[0];
-        bool columns = true;
-        for (size_t i = 1; columns && i < m; ++i) {
-            columns = reading_ends_[i] == (i + 1) * per;
-            for (size_t j = 0; columns && j < per; ++j)
-                columns = readings_[i * per + j].id == readings_[j].id;
-        }
-
-        // A series is recorded ahead, a chunk in one call, unless a
-        // rule must read it instant by instant or two producers write
-        // it (their samples then interleave by instant).
-        run_counts_.assign(store_.series_count(), 0);
-        for (const Source &source : sources_)
-            run_counts_[size_t(source.id)] += uint32_t(m);
-        for (const Reading &r : readings_)
-            ++run_counts_[size_t(r.id)];
-        held_.assign(run_counts_.size(), 0);
-        for (size_t id = 0; id < run_counts_.size(); ++id)
-            held_[id] = run_counts_[id] > m;
-        alerts_.hold_back(store_, start, period, m, run_counts_, held_);
-
-        for (size_t s = 0; s < n; ++s) {
-            if (!held_[size_t(sources_[s].id)])
-                store_.record_run(sources_[s].id, start, period,
-                                  {&run_values_[s * kRunChunk], m});
-        }
-        if (columns) {
-            column_.resize(m);
-            for (size_t j = 0; j < per; ++j) {
-                if (held_[size_t(readings_[j].id)])
-                    continue;
-                for (size_t i = 0; i < m; ++i)
-                    column_[i] = readings_[i * per + j].v;
-                store_.record_run(readings_[j].id, start, period, column_);
-            }
-        }
-        for (size_t i = 0; i < m; ++i) {
-            for (size_t s = 0; s < n; ++s) {
-                if (held_[size_t(sources_[s].id)])
-                    store_.record(sources_[s].id, at(i),
-                                  run_values_[s * kRunChunk + i]);
-            }
-            for (size_t r = i > 0 ? reading_ends_[i - 1] : 0;
-                 r < reading_ends_[i]; ++r) {
-                if (!columns || held_[size_t(readings_[r].id)])
-                    store_.record(readings_[r].id, at(i), readings_[r].v);
-            }
-            alerts_.evaluate(store_, at(i), true);
-        }
-        samples_ += m;
     }
+    for (size_t i = 0; i < m; ++i) {
+        for (size_t s = 0; s < n; ++s) {
+            if (c.held[size_t(sources_[s].id)])
+                store_.record(sources_[s].id, at(i),
+                              c.values[s * kRunChunk + i]);
+        }
+        for (size_t r = i > 0 ? c.ends[i - 1] : 0; r < c.ends[i]; ++r) {
+            if (!columns || c.held[size_t(c.readings[r].id)])
+                store_.record(c.readings[r].id, at(i), c.readings[r].v);
+        }
+        alerts_.evaluate(store_, at(i), true);
+    }
+    samples_ += m;
+    c.count = 0;
+    c.readings.clear();
 }
 
 } // namespace tacc::ops

@@ -6,14 +6,14 @@
  * and runs the pull-based collection cycle: higher layers register
  * sample *sources* (closures reading live cluster state — GPU
  * utilization, queue depth, usage shares, failure counters) and the
- * embedding stack drives sample_run() from the simulator's pre-fire
- * watch (sim::Simulator::set_watch). One pass covers a run of sample
- * instants with no event between them — the whole quiet run when the
- * stack's own run loop steps, one instant when an outside caller
- * steps the simulator — and gives every instant the store contents,
- * rule evaluations and incidents a pass per instant would. Collection
- * is strictly observational: it never mutates scheduler or cluster
- * state and never perturbs event ordering.
+ * embedding stack appends sample instants from the simulator's
+ * pre-fire watch (sim::Simulator::set_watch). Every instant's values
+ * are read at the instant; the instants gather in one pending chunk,
+ * recorded (ring writes, then rule evaluation instant by instant) when
+ * it fills and before anything reads the store, the alerts or the
+ * sample count, so every reader sees what a pass per instant would
+ * have left. Collection is strictly observational: it never mutates
+ * scheduler or cluster state and never perturbs event ordering.
  *
  * The ops module sits *below* core in the module DAG (it depends only on
  * common); TaccStack wires its components in as sources.
@@ -110,10 +110,29 @@ class OpsCenter
     explicit OpsCenter(OpsConfig config = {});
 
     const OpsConfig &config() const { return config_; }
-    MetricStore &store() { return store_; }
-    const MetricStore &store() const { return store_; }
-    AlertEngine &alerts() { return alerts_; }
-    const AlertEngine &alerts() const { return alerts_; }
+    /** @name Readers: each records the pending chunk first */
+    ///@{
+    MetricStore &store()
+    {
+        flush();
+        return store_;
+    }
+    const MetricStore &store() const
+    {
+        flush();
+        return store_;
+    }
+    AlertEngine &alerts()
+    {
+        flush();
+        return alerts_;
+    }
+    const AlertEngine &alerts() const
+    {
+        flush();
+        return alerts_;
+    }
+    ///@}
     Accountant &accounting() { return accounting_; }
     const Accountant &accounting() const { return accounting_; }
 
@@ -150,24 +169,38 @@ class OpsCenter
     void record_gauge(const std::string &name, TimePoint t, double v);
 
     /**
-     * One collection cycle: polls every source at time now, then
-     * evaluates the alert rules. now must be non-decreasing.
+     * Takes k sample instants at first, first + sample_period, ..., with
+     * no change to stack state between them (no event fires in the
+     * run); first must not precede an instant taken before. Every value
+     * is read now: state-only sources once, clock-reading sources and
+     * multi-sources at every instant, in time order. The instants join
+     * the pending chunk, which starts afresh at an instant off its
+     * sample grid and is recorded whenever it fills.
      */
-    void sample(TimePoint now);
+    void append(TimePoint first, size_t k = 1);
 
     /**
-     * k collection cycles at first, first + sample_period, ..., with no
-     * change to stack state between them (no event fires in the run).
-     * Equal, bit for bit, to k sample() calls. State-only sources are
-     * polled once, clock-reading ones at every instant. The run goes in
-     * chunks: each series records its chunk with one record_run call,
-     * then the rules are evaluated instant by instant. A series a rule
-     * could not read that way (AlertEngine::hold_back) is recorded
-     * instant by instant instead, just before each evaluation.
+     * Records the pending chunk, bit for bit as a pass per instant
+     * would have: each series records its chunk with one record_run
+     * call, then the rules are evaluated instant by instant. A series a
+     * rule could not read that way (AlertEngine::hold_back) is recorded
+     * instant by instant instead, just before each evaluation. Const
+     * because readers call it: what they see never depends on when the
+     * chunk is recorded.
      */
-    void sample_run(TimePoint first, size_t k);
+    void
+    flush() const
+    {
+        if (chunk_.count > 0)
+            record_chunk();
+    }
 
-    uint64_t samples_taken() const { return samples_; }
+    uint64_t
+    samples_taken() const
+    {
+        flush();
+        return samples_;
+    }
 
   private:
     struct Source {
@@ -176,30 +209,45 @@ class OpsCenter
         Reads reads;
     };
 
-    /** Instants a sample_run pass buffers per source at a time. */
+    /** Instants the pending chunk holds at most. */
     static constexpr size_t kRunChunk = 64;
 
+    /** Instants taken but not yet recorded, and a recording's scratch. */
+    struct Chunk {
+        /** The chunk's first instant and its instant count. */
+        TimePoint first;
+        size_t count = 0;
+        /** Per source, its values at the chunk's instants (kRunChunk
+         *  each). */
+        std::vector<double> values;
+        /** Multi-source readings, instant after instant; ends[i] is the
+         *  end of instant i's. */
+        std::vector<Reading> readings;
+        std::vector<size_t> ends;
+        /** Per series, its samples in the chunk and whether it is
+         *  recorded instant by instant; one series' readings. */
+        std::vector<uint32_t> run_counts;
+        std::vector<uint8_t> held;
+        std::vector<double> column;
+    };
+
+    /** Records chunk_ (count > 0) and empties it. */
+    void record_chunk() const;
+
     OpsConfig config_;
-    MetricStore store_;
-    AlertEngine alerts_;
+    // Recording the pending chunk is no observable change, so readers
+    // (const) may do it: the store, the rules and the sample count it
+    // writes are mutable, the way the simulator's heap is for
+    // drain_cancelled.
+    mutable MetricStore store_;
+    mutable AlertEngine alerts_;
     Accountant accounting_;
     std::vector<Source> sources_;
     std::vector<MultiSourceFn> multi_sources_;
-    uint64_t samples_ = 0;
-    /** @name Scratch of a pass, kept for reuse */
-    ///@{
-    /** Per source, its values at a chunk's instants (kRunChunk each). */
-    std::vector<double> run_values_;
-    /** Multi-source readings, instant after instant; reading_ends_[i]
-     *  is the end of instant i's. */
-    std::vector<Reading> readings_;
-    std::vector<size_t> reading_ends_;
-    /** Per series, its samples in the chunk and whether it is recorded
-     *  instant by instant; one series' readings of the chunk. */
-    std::vector<uint32_t> run_counts_;
-    std::vector<uint8_t> held_;
-    std::vector<double> column_;
-    ///@}
+    mutable uint64_t samples_ = 0;
+    mutable Chunk chunk_;
+    /** State-only sources' values of the current append. */
+    std::vector<double> polled_;
 };
 
 } // namespace tacc::ops

@@ -1,6 +1,7 @@
 #include "power/power_manager.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <limits>
 
@@ -228,10 +229,14 @@ PowerManager::advance(TimePoint now)
     if (dt > 0) {
         energy_j_ += draw_w() * dt;
         baseline_energy_j_ += model_.baseline_w() * dt;
-        for (const auto &[id, seg] : active_) {
+        for (auto &[id, seg] : active_) {
+            if (!seg.job_j) {
+                seg.group_j = &group_energy_j_[seg.group];
+                seg.job_j = &job_energy_j_[id];
+            }
             const double e = seg.delta_w * dt;
-            group_energy_j_[seg.group] += e;
-            job_energy_j_[id] += e;
+            *seg.group_j += e;
+            *seg.job_j += e;
         }
         last_ = now;
     } else if (now > last_) {
@@ -258,6 +263,8 @@ PowerManager::job_energy_kwh(cluster::JobId job) const
 double
 PowerManager::take_job_energy_kwh(cluster::JobId job)
 {
+    // An active segment holds a pointer to the entry erased below.
+    assert(!active_.contains(job));
     auto it = job_energy_j_.find(job);
     if (it == job_energy_j_.end())
         return 0.0;

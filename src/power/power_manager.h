@@ -122,7 +122,8 @@ class PowerManager
     std::map<std::string, double> group_energy_kwh() const;
     /** Energy a job's segments drew so far (0 if it never ran). */
     double job_energy_kwh(cluster::JobId job) const;
-    /** job_energy_kwh plus ledger cleanup; call once at finalize. */
+    /** job_energy_kwh plus ledger cleanup; call once at finalize, after
+     *  the job's last segment stopped. */
     double take_job_energy_kwh(cluster::JobId job);
     ///@}
 
@@ -144,6 +145,10 @@ class PowerManager
         std::vector<std::pair<int, double>> rack_delta_w;
         /** Nodes the gang occupies (for the per-node clock min). */
         std::vector<cluster::NodeId> nodes;
+        /** The group's and the job's ledger entries, from the segment's
+         *  first accrual on (map nodes never move). */
+        double *group_j = nullptr;
+        double *job_j = nullptr;
     };
 
     /** Rebuilds every total from active_ in id order (see file docs). */

@@ -25,13 +25,14 @@ BackfillScheduler::schedule(const SchedulerContext &ctx)
     FreeView &view = detail::scratch_view(ctx);
     auto held = detail::held_by_group(ctx);
 
-    CapacityProfile profile(ctx.now, view.total_free());
-    for (const auto &r : ctx.running) {
-        // The system's runtime estimate for running jobs is the actual
-        // projected end (Slurm would use the time limit; our monitoring
-        // layer knows iteration progress, which is strictly better).
-        profile.add_release(r.expected_end, r.job->running_gpus());
-    }
+    // The system's runtime estimate for running jobs is the actual
+    // projected end (Slurm would use the time limit; our monitoring
+    // layer knows iteration progress, which is strictly better).
+    releases_.clear();
+    for (const auto &r : ctx.running)
+        releases_.push_back({r.expected_end, r.job->running_gpus()});
+    CapacityProfile &profile = profile_;
+    profile.reset(ctx.now, view.total_free(), releases_);
 
     bool reserved_head = false;
     int examined = 0;

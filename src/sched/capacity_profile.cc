@@ -17,6 +17,32 @@ CapacityProfile::reset(TimePoint now, int free_now)
     horizon_ = now + Duration::days(365);
     time_.assign(1, now);
     capacity_.assign(1, free_now);
+    floor_.clear();
+}
+
+void
+CapacityProfile::reset(TimePoint now, int free_now,
+                       std::span<const Release> releases)
+{
+    reset(now, free_now);
+    sorted_.clear();
+    for (const Release &r : releases) {
+        assert(r.gpus >= 0);
+        if (r.gpus > 0)
+            sorted_.push_back({std::clamp(r.t, now_, horizon_), r.gpus});
+    }
+    std::sort(sorted_.begin(), sorted_.end(),
+              [](const Release &a, const Release &b) { return a.t < b.t; });
+    int capacity = free_now;
+    for (const Release &r : sorted_) {
+        capacity += r.gpus;
+        if (r.t == time_.back()) {
+            capacity_.back() = capacity;
+        } else {
+            time_.push_back(r.t);
+            capacity_.push_back(capacity);
+        }
+    }
 }
 
 TimePoint
@@ -47,6 +73,7 @@ CapacityProfile::add_release(TimePoint t, int gpus)
     }
     for (size_t i = idx; i < capacity_.size(); ++i)
         capacity_[i] += gpus;
+    floor_.clear();
 }
 
 int
@@ -64,8 +91,9 @@ CapacityProfile::earliest_fit(int gpus, Duration duration) const
     // One pass over the breakpoints. A step short of capacity inside the
     // candidate's window also lies inside the window of every later start
     // up to it (window ends never move back), so the next candidate is
-    // the breakpoint after that step.
-    size_t start_idx = 0;
+    // the breakpoint after that step. A positive window holds its own
+    // first step, so no start before the floor fits.
+    size_t start_idx = duration > Duration() ? floor_of(gpus) : 0;
     size_t i = 0;
     while (start_idx < time_.size()) {
         const TimePoint end = clamp_end(time_[start_idx], duration);
@@ -77,6 +105,22 @@ CapacityProfile::earliest_fit(int gpus, Duration duration) const
         i = start_idx;
     }
     return TimePoint::max();
+}
+
+size_t
+CapacityProfile::floor_of(int gpus) const
+{
+    auto it = std::find_if(floor_.begin(), floor_.end(),
+                           [gpus](const auto &f) { return f.first == gpus; });
+    if (it == floor_.end())
+        it = floor_.insert(floor_.end(), {gpus, now_});
+    size_t i = size_t(std::lower_bound(time_.begin(), time_.end(),
+                                       it->second) -
+                      time_.begin());
+    while (i < time_.size() && capacity_[i] < gpus && time_[i] < horizon_)
+        ++i;
+    it->second = i < time_.size() ? time_[i] : TimePoint::max();
+    return i;
 }
 
 bool

@@ -11,6 +11,8 @@
  */
 #pragma once
 
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "common/time.h"
@@ -27,9 +29,23 @@ class CapacityProfile
      */
     CapacityProfile(TimePoint now, int free_now);
 
+    /** A projected release: `gpus` of capacity from time t onward. */
+    struct Release {
+        TimePoint t;
+        int gpus = 0;
+    };
+
     /** Restarts the timeline as the constructor would, keeping its
      *  storage. */
     void reset(TimePoint now, int free_now);
+
+    /**
+     * reset(now, free_now), then add_release(r.t, r.gpus) for every
+     * release, built by one sort and one pass: the same breakpoints
+     * and capacities (integer sums do not depend on their order).
+     */
+    void reset(TimePoint now, int free_now,
+               std::span<const Release> releases);
 
     /** Adds `gpus` of capacity from time t onward (a projected release). */
     void add_release(TimePoint t, int gpus);
@@ -37,7 +53,8 @@ class CapacityProfile
     /**
      * Earliest start >= now with capacity >= gpus throughout
      * [start, start + duration). Always exists if gpus never exceeds the
-     * eventual total; otherwise returns TimePoint::max().
+     * eventual total; otherwise returns TimePoint::max(). The scan
+     * starts at a floor cached per GPU count (see floor_).
      */
     TimePoint earliest_fit(int gpus, Duration duration) const;
 
@@ -60,11 +77,27 @@ class CapacityProfile
     /** Clamps additions so reservations cannot overflow the horizon. */
     TimePoint clamp_end(TimePoint start, Duration duration) const;
 
+    /**
+     * Index of the first breakpoint a start of `gpus` for a positive
+     * duration can use: every earlier one lies before the horizon with
+     * capacity < gpus. Caches its time in floor_.
+     */
+    size_t floor_of(int gpus) const;
+
     TimePoint now_;
     TimePoint horizon_;
     /** Sorted breakpoints; capacity_[i] holds on [time_[i], time_[i+1]). */
     std::vector<TimePoint> time_;
     std::vector<int> capacity_;
+    /**
+     * Per GPU count, a time before which every breakpoint lies before
+     * the horizon with less capacity. reserve keeps that true (it only
+     * lowers capacity, and a breakpoint it inserts copies the capacity
+     * of the step it splits); add_release and reset clear it.
+     */
+    mutable std::vector<std::pair<int, TimePoint>> floor_;
+    /** reset's sorted releases, kept for reuse. */
+    std::vector<Release> sorted_;
 };
 
 } // namespace tacc::sched

@@ -31,6 +31,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "sched/capacity_profile.h"
 #include "sched/types.h"
 
 namespace tacc::sched {
@@ -151,6 +152,10 @@ class BackfillScheduler : public Scheduler
     bool conservative_;
     bool use_estimates_;
     int depth_;
+    /** A pass's timeline and the running jobs' releases, kept for
+     *  reuse. */
+    CapacityProfile profile_{TimePoint::origin(), 0};
+    std::vector<CapacityProfile::Release> releases_;
 };
 
 /** Strict QoS tiers with demand-driven preemption of lower tiers. */

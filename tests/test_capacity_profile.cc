@@ -4,6 +4,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/rng.h"
 #include "sched/capacity_profile.h"
 
@@ -99,38 +101,103 @@ TEST(CapacityProfile, StackedReleases)
     EXPECT_EQ(p.earliest_fit(6, 1_s), t0 + 20_s);
 }
 
+/**
+ * The earliest whole-second start of a `len`-second window with
+ * capacity >= gpus at every second of it, scanning every start from
+ * now: with breakpoints on whole seconds this is exhaustive, and it
+ * uses no floor.
+ */
+TimePoint
+brute_force_fit(const CapacityProfile &p, int gpus, int64_t len)
+{
+    for (int64_t s = 0; s <= 200; ++s) {
+        bool fits = true;
+        for (int64_t i = s; i < s + len && fits; ++i)
+            fits = p.capacity_at(t0 + Duration::seconds(i)) >= gpus;
+        if (fits)
+            return t0 + Duration::seconds(s);
+    }
+    return TimePoint::max();
+}
+
 TEST(CapacityProfile, EarliestFitMatchesBruteForce)
 {
     // Breakpoints and durations on whole seconds, so checking every whole
     // second as a start (and every second of its window) is exhaustive.
+    // A profile built in one sorted pass and one built a release at a
+    // time go through the same random interleaving of reservations,
+    // releases and queries (so cached floors are reused, kept across
+    // reservations and cleared by releases); both must answer what the
+    // exhaustive scan answers.
     Rng rng(7);
+    int reused = 0;
     for (int round = 0; round < 300; ++round) {
-        CapacityProfile p(t0, int(rng.uniform_int(0, 8)));
-        const int ops = int(rng.uniform_int(0, 12));
-        for (int k = 0; k < ops; ++k) {
-            const TimePoint at = t0 + Duration::seconds(rng.uniform_int(0, 60));
-            const int gpus = int(rng.uniform_int(0, 6));
-            if (rng.bernoulli(0.5))
-                p.add_release(at, gpus);
-            else
-                p.reserve(at, Duration::seconds(rng.uniform_int(0, 40)), gpus);
+        const int free_now = int(rng.uniform_int(0, 8));
+        std::vector<CapacityProfile::Release> releases(
+            size_t(rng.uniform_int(0, 8)));
+        for (auto &r : releases) {
+            r.t = t0 + Duration::seconds(rng.uniform_int(-5, 60));
+            r.gpus = int(rng.uniform_int(0, 4));
         }
-        for (int q = 0; q < 20; ++q) {
-            const int gpus = int(rng.uniform_int(0, 12));
-            const int64_t len = rng.uniform_int(0, 50);
-            TimePoint expected = TimePoint::max();
-            for (int64_t s = 0; s <= 200 && expected == TimePoint::max();
-                 ++s) {
-                bool fits = true;
-                for (int64_t i = s; i < s + len && fits; ++i)
-                    fits = p.capacity_at(t0 + Duration::seconds(i)) >= gpus;
-                if (fits)
-                    expected = t0 + Duration::seconds(s);
+        CapacityProfile one_pass(t0 + 10_s, 0);
+        one_pass.reset(t0, free_now, releases);
+        CapacityProfile per_release(t0, free_now);
+        for (const auto &r : releases)
+            per_release.add_release(r.t, r.gpus);
+        for (int64_t s = -1; s <= 70; ++s) {
+            const TimePoint at = t0 + Duration::seconds(s);
+            ASSERT_EQ(one_pass.capacity_at(std::max(at, t0)),
+                      per_release.capacity_at(std::max(at, t0)))
+                << "round " << round << " second " << s;
+        }
+        const int ops = int(rng.uniform_int(0, 40));
+        for (int k = 0; k < ops; ++k) {
+            const double what = rng.uniform();
+            if (what < 0.1) {
+                const TimePoint at =
+                    t0 + Duration::seconds(rng.uniform_int(0, 60));
+                const int gpus = int(rng.uniform_int(0, 6));
+                one_pass.add_release(at, gpus);
+                per_release.add_release(at, gpus);
+            } else if (what < 0.4) {
+                const TimePoint at =
+                    t0 + Duration::seconds(rng.uniform_int(0, 60));
+                const Duration len = Duration::seconds(rng.uniform_int(0, 40));
+                const int gpus = int(rng.uniform_int(0, 6));
+                one_pass.reserve(at, len, gpus);
+                per_release.reserve(at, len, gpus);
+            } else {
+                const int gpus = int(rng.uniform_int(0, 12));
+                const int64_t len = rng.uniform_int(0, 50);
+                const TimePoint expected =
+                    brute_force_fit(per_release, gpus, len);
+                const Duration d = Duration::seconds(len);
+                EXPECT_EQ(one_pass.earliest_fit(gpus, d), expected)
+                    << "round " << round << " gpus " << gpus << " len "
+                    << len;
+                EXPECT_EQ(per_release.earliest_fit(gpus, d), expected)
+                    << "round " << round << " gpus " << gpus << " len "
+                    << len;
+                ++reused;
             }
-            EXPECT_EQ(p.earliest_fit(gpus, Duration::seconds(len)), expected)
-                << "round " << round << " gpus " << gpus << " len " << len;
         }
     }
+    EXPECT_GT(reused, 3000);
+}
+
+TEST(CapacityProfile, FitAtTheHorizonIgnoresItsCapacity)
+{
+    // A release past the horizon clamps to it; a start there has an
+    // empty window, so it fits whatever the capacity, floor or not.
+    const std::vector<CapacityProfile::Release> releases = {
+        {t0 + Duration::days(400), 4}};
+    CapacityProfile p(t0, 0);
+    p.reset(t0, 0, releases);
+    const TimePoint horizon = t0 + Duration::days(365);
+    EXPECT_EQ(p.capacity_at(horizon), 4);
+    EXPECT_EQ(p.earliest_fit(8, 1_s), horizon);
+    EXPECT_EQ(p.earliest_fit(8, 1_s), horizon);
+    EXPECT_EQ(p.earliest_fit(8, 0_s), t0);
 }
 
 TEST(CapacityProfile, FitsNowMatchesBruteForce)

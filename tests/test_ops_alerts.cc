@@ -6,8 +6,8 @@
  * machine — neither firing nor resolving may ever happen without the
  * condition holding (or staying clear) for the full `for` duration —
  * and the run paths: rules evaluated after a run of samples was
- * recorded ahead, and OpsCenter::sample_run, against evaluation of
- * every instant in full.
+ * recorded ahead, and the ops center's chunks of appended instants,
+ * against evaluation of every instant in full.
  */
 #include <gtest/gtest.h>
 
@@ -484,9 +484,10 @@ expect_same_incidents(const std::vector<AlertIncident> &got,
     }
 }
 
-// Piecewise-constant streams at a fixed 30 s cadence, changed only
-// between runs of quiet instants (as events change stack state). Each
-// run is recorded ahead with record_run except the series hold_back
+// Piecewise-constant streams at a fixed 30 s cadence, changed between
+// runs of quiet instants (as events change stack state) and, in busy
+// runs, between instants too. Each run is recorded ahead with
+// record_run except the series hold_back
 // keeps for instant-by-instant recording; the engine is then evaluated
 // at every instant of the run. At every instant its firing states, rule
 // states and incidents (fire and resolve times, peak bits) must equal
@@ -501,6 +502,7 @@ TEST(AlertEngine, RunEvaluationMatchesFullEvaluationReference)
     int ahead_runs = 0;
     int fired_mid_run = 0;
     int resolved_mid_run = 0;
+    int busy_runs = 0;
     for (int trial = 0; trial < 24; ++trial) {
         SCOPED_TRACE("trial " + std::to_string(trial));
         MetricStoreConfig config;
@@ -537,14 +539,24 @@ TEST(AlertEngine, RunEvaluationMatchesFullEvaluationReference)
             const size_t k = size_t(std::min<int64_t>(
                 rng.uniform() < 0.2 ? 1 : rng.uniform_int(2, 150),
                 int64_t(config.raw_capacity)));
-            std::vector<double> gv(k, level);
-            std::vector<double> cv(k, count);
-            std::vector<double> wv(k);
-            for (size_t i = 0; i < k; ++i)
+            // A third of the chunks hold instants with events between
+            // them, as the ops center's chunks do: the state-only
+            // values then change from instant to instant.
+            const bool busy = rng.uniform() < 0.3;
+            busy_runs += busy;
+            std::vector<double> gv(k), cv(k), wv(k);
+            for (size_t i = 0; i < k; ++i) {
+                if (busy && i > 0 && rng.uniform() < 0.15)
+                    level = double(rng.uniform_int(0, 3));
+                if (busy && i > 0 && rng.uniform() < 0.1)
+                    count += double(rng.uniform_int(1, 4));
+                gv[i] = level;
+                cv[i] = count;
                 wv[i] = level > 0 ? (next + int64_t(i) * period -
                                      waiting_since)
                                         .to_seconds()
                                   : 0.0;
+            }
 
             std::vector<uint32_t> samples(ahead.series_count(),
                                           uint32_t(k));
@@ -607,76 +619,145 @@ TEST(AlertEngine, RunEvaluationMatchesFullEvaluationReference)
     EXPECT_GT(ahead_runs, 500);
     EXPECT_GT(fired_mid_run, 100);
     EXPECT_GT(resolved_mid_run, 100);
+    EXPECT_GT(busy_runs, 300);
 }
 
-// sample_run(first, k) must leave an ops center exactly as k sample()
-// calls leave it: every series at three resolutions bit for bit, the
-// incidents and the sample count. The sources cover state-only and
-// clock-reading gauges, a counter, a source with state of its own and
-// a multi-source whose gauges appear late and skip instants.
+/**
+ * A pass per instant, kept as the reference for the ops center's
+ * chunks: at each instant every source is polled, every series records
+ * with its own record call, then every rule is evaluated.
+ */
+class PerInstantCenter
+{
+  public:
+    explicit PerInstantCenter(MetricStoreConfig config) : store_(config)
+    {
+        for (AlertRule &r : default_rules())
+            alerts_.add_rule(std::move(r));
+    }
+
+    void
+    add_gauge_source(const char *name, OpsCenter::SourceFn fn,
+                     Reads = Reads::kClock)
+    {
+        sources_.push_back({store_.define(name, SeriesKind::kGauge),
+                            std::move(fn)});
+    }
+    void
+    add_counter_source(const char *name, OpsCenter::SourceFn fn,
+                       Reads = Reads::kClock)
+    {
+        sources_.push_back({store_.define(name, SeriesKind::kCounter),
+                            std::move(fn)});
+    }
+    void
+    add_multi_source(OpsCenter::MultiSourceFn fn)
+    {
+        multi_sources_.push_back(std::move(fn));
+    }
+    AlertEngine &alerts() { return alerts_; }
+    const MetricStore &store() const { return store_; }
+    uint64_t samples_taken() const { return samples_; }
+
+    void
+    sample(TimePoint now)
+    {
+        for (const auto &[id, fn] : sources_)
+            store_.record(id, now, fn(now));
+        std::vector<OpsCenter::Reading> readings;
+        for (const auto &fn : multi_sources_)
+            fn(store_, now, readings);
+        for (const OpsCenter::Reading &r : readings)
+            store_.record(r.id, now, r.v);
+        alerts_.evaluate(store_, now);
+        ++samples_;
+    }
+
+  private:
+    MetricStore store_;
+    AlertEngine alerts_;
+    std::vector<std::pair<SeriesId, OpsCenter::SourceFn>> sources_;
+    std::vector<OpsCenter::MultiSourceFn> multi_sources_;
+    uint64_t samples_ = 0;
+};
+
+/** State the test's sources read, changed between appends. */
+struct FakeStack {
+    double level = 0;
+    double count = 0;
+    int groups = 0;
+    bool idle = false;
+    TimePoint since = TimePoint::origin();
+};
+
+/** State-only and clock-reading gauges, a counter, a source with state
+ *  of its own, a multi-source whose gauges appear late and skip
+ *  instants, and a rule over one of its gauges. */
+template <typename Center>
+void
+wire_sources(Center &center, FakeStack &stack)
+{
+    center.add_gauge_source(
+        series::kGpuUtil, [&stack](TimePoint) { return stack.level; },
+        Reads::kState);
+    center.add_counter_source(
+        series::kSegmentFailures,
+        [&stack](TimePoint) { return stack.count; }, Reads::kState);
+    center.add_gauge_source(series::kQueueOldestWait,
+                            [&stack](TimePoint now) {
+                                return (now - stack.since).to_seconds();
+                            });
+    center.add_gauge_source(series::kSloAttainment,
+                            [calls = 0](TimePoint) mutable {
+                                return ++calls % 7 == 0 ? 0.5 : 1.0;
+                            });
+    center.add_multi_source(
+        [&stack, ids = std::vector<SeriesId>()](
+            MetricStore &s, TimePoint now,
+            std::vector<OpsCenter::Reading> &out) mutable {
+            if (stack.idle && now.to_micros() / 30'000'000 % 5 == 0)
+                return;
+            while (int(ids.size()) < stack.groups) {
+                ids.push_back(s.define("group.share.g" +
+                                           std::to_string(ids.size()),
+                                       SeriesKind::kGauge));
+            }
+            for (size_t i = 0; i < ids.size(); ++i)
+                out.push_back({ids[i], stack.level / double(i + 1)});
+        });
+    AlertRule share;
+    share.name = "share";
+    share.series = "group.share.g0";
+    share.agg = AlertRule::Agg::kMean;
+    share.window = 10_min;
+    share.threshold = 1.5;
+    share.for_duration = 5_min;
+    center.alerts().add_rule(share);
+}
+
+// Appended instants must leave an ops center exactly as a pass per
+// instant leaves it: every series at three resolutions bit for bit,
+// the incidents and the sample count. Quiet runs of up to 200 instants
+// alternate with busy stretches that change the state between single
+// instants, and the center is read only now and then, so its chunks
+// (flushed when full or when read) span both.
 TEST(OpsCenter, SampleRunMatchesSampleAtEveryInstant)
 {
-    struct Stack {
-        double level = 0;
-        double count = 0;
-        int groups = 0;
-        bool idle = false;
-        TimePoint since = TimePoint::origin();
-    };
-    auto make = [](Stack &stack, MetricStoreConfig store) {
-        OpsConfig config;
-        config.store = store;
-        auto center = std::make_unique<OpsCenter>(config);
-        center->add_gauge_source(
-            series::kGpuUtil, [&stack](TimePoint) { return stack.level; },
-            Reads::kState);
-        center->add_counter_source(
-            series::kSegmentFailures,
-            [&stack](TimePoint) { return stack.count; }, Reads::kState);
-        center->add_gauge_source(
-            series::kQueueOldestWait, [&stack](TimePoint now) {
-                return (now - stack.since).to_seconds();
-            });
-        center->add_gauge_source(
-            series::kSloAttainment, [calls = 0](TimePoint) mutable {
-                return ++calls % 7 == 0 ? 0.5 : 1.0;
-            });
-        center->add_multi_source(
-            [&stack, ids = std::vector<SeriesId>()](
-                MetricStore &s, TimePoint now,
-                std::vector<OpsCenter::Reading> &out) mutable {
-                if (stack.idle && now.to_micros() / 30'000'000 % 5 == 0)
-                    return;
-                while (int(ids.size()) < stack.groups) {
-                    ids.push_back(s.define("group.share.g" +
-                                               std::to_string(ids.size()),
-                                           SeriesKind::kGauge));
-                }
-                for (size_t i = 0; i < ids.size(); ++i)
-                    out.push_back({ids[i], stack.level / double(i + 1)});
-            });
-        AlertRule share;
-        share.name = "share";
-        share.series = "group.share.g0";
-        share.agg = AlertRule::Agg::kMean;
-        share.window = 10_min;
-        share.threshold = 1.5;
-        share.for_duration = 5_min;
-        center->alerts().add_rule(share);
-        return center;
-    };
-
     Rng rng(20261021);
     for (int trial = 0; trial < 6; ++trial) {
         SCOPED_TRACE("trial " + std::to_string(trial));
         MetricStoreConfig store;
         store.raw_capacity = trial % 2 ? 50 : 2048;
-        Stack stack;
-        auto runs = make(stack, store);
-        auto singles = make(stack, store);
-        const Duration period = runs->config().sample_period;
+        FakeStack stack;
+        OpsConfig config;
+        config.store = store;
+        OpsCenter chunks(config);
+        PerInstantCenter reference(store);
+        wire_sources(chunks, stack);
+        wire_sources(reference, stack);
+        const Duration period = chunks.config().sample_period;
         TimePoint next = TimePoint::origin() + period;
-        for (int run = 0; run < 80; ++run) {
+        auto change = [&] {
             stack.level = double(rng.uniform_int(0, 4));
             if (rng.uniform() < 0.5)
                 stack.count += double(rng.uniform_int(1, 9));
@@ -685,15 +766,33 @@ TEST(OpsCenter, SampleRunMatchesSampleAtEveryInstant)
             if (rng.uniform() < 0.1)
                 ++stack.groups;
             stack.idle = rng.uniform() < 0.3;
-            const size_t k = size_t(rng.uniform_int(1, 200));
-            runs->sample_run(next, k);
-            for (size_t i = 0; i < k; ++i)
-                singles->sample(next + int64_t(i) * period);
-            next += int64_t(k) * period;
+        };
+        int compared = 0;
+        for (int run = 0; run < 120; ++run) {
+            change();
+            if (rng.uniform() < 0.3) {
+                const int busy = int(rng.uniform_int(1, 90));
+                for (int i = 0; i < busy; ++i) {
+                    if (i > 0 && rng.uniform() < 0.6)
+                        change();
+                    chunks.append(next);
+                    reference.sample(next);
+                    next += period;
+                }
+            } else {
+                const size_t k = size_t(rng.uniform_int(1, 200));
+                chunks.append(next, k);
+                for (size_t i = 0; i < k; ++i)
+                    reference.sample(next + int64_t(i) * period);
+                next += int64_t(k) * period;
+            }
+            if (run != 119 && rng.uniform() < 0.7)
+                continue;
+            ++compared;
 
-            ASSERT_EQ(runs->samples_taken(), singles->samples_taken());
-            const MetricStore &a = runs->store();
-            const MetricStore &b = singles->store();
+            ASSERT_EQ(chunks.samples_taken(), reference.samples_taken());
+            const MetricStore &a = chunks.store();
+            const MetricStore &b = reference.store();
             ASSERT_EQ(a.series_count(), b.series_count());
             for (SeriesId id = 0; size_t(id) < a.series_count(); ++id) {
                 ASSERT_EQ(a.name_of(id), b.name_of(id));
@@ -707,6 +806,10 @@ TEST(OpsCenter, SampleRunMatchesSampleAtEveryInstant)
                     ASSERT_EQ(pa.size(), pb.size());
                     for (size_t i = 0; i < pa.size(); ++i) {
                         ASSERT_EQ(pa[i].start, pb[i].start);
+                        ASSERT_EQ(std::bit_cast<uint64_t>(pa[i].min),
+                                  std::bit_cast<uint64_t>(pb[i].min));
+                        ASSERT_EQ(std::bit_cast<uint64_t>(pa[i].max),
+                                  std::bit_cast<uint64_t>(pb[i].max));
                         ASSERT_EQ(std::bit_cast<uint64_t>(pa[i].sum),
                                   std::bit_cast<uint64_t>(pb[i].sum));
                         ASSERT_EQ(std::bit_cast<uint64_t>(pa[i].last),
@@ -716,9 +819,10 @@ TEST(OpsCenter, SampleRunMatchesSampleAtEveryInstant)
                 }
             }
             ASSERT_NO_FATAL_FAILURE(expect_same_incidents(
-                runs->alerts().incidents(), singles->alerts().incidents()));
+                chunks.alerts().incidents(), reference.alerts().incidents()));
         }
-        EXPECT_FALSE(runs->alerts().incidents().empty());
+        EXPECT_GT(compared, 20);
+        EXPECT_FALSE(chunks.alerts().incidents().empty());
     }
 }
 

@@ -16,9 +16,10 @@
  * file's format.
  *
  * The same scenarios also pin that the digest does not depend on who
- * drives the run: the stack's run loops record a quiet run of sample
- * instants in one pass, an outside step records one instant, and a
- * change made from outside between two steps shows in the next sample.
+ * drives the run or reads the ops layer: the stack's run loops take a
+ * quiet run of sample instants in one append, an outside step takes
+ * one instant, readers record the pending chunk, and a change made from
+ * outside between two steps shows in the next sample.
  */
 #include <gtest/gtest.h>
 
@@ -322,10 +323,12 @@ TEST(OpsGolden, EveryScenarioMatchesRecordedDigest)
 
 // Each golden scenario folds to one ops digest whoever drives it: the
 // stack's run_to_completion, its run_until in slices of 7 s, 45 s and
-// 1 h up to the instant the run quiesces (then run_to_completion), or
-// outside simulator().step() calls (then run_to_completion). The run
-// loops record a quiet run of sample instants in one pass; an outside
-// step records one instant.
+// 1 h up to the instant the run quiesces (then run_to_completion),
+// outside simulator().step() calls (then run_to_completion), with or
+// without reads of the ops layer between them, or outside steps mixed
+// with run_until slices. The run loops take a quiet run of sample
+// instants in one append, an outside step takes one instant; every
+// instant joins one pending chunk, recorded when full or read.
 TEST(OpsGolden, EveryDriverFoldsToTheSameDigest)
 {
     for (const Scenario &scenario : golden_scenarios()) {
@@ -350,6 +353,49 @@ TEST(OpsGolden, EveryDriverFoldsToTheSameDigest)
         }
         ASSERT_TRUE(stack.run_to_completion());
         EXPECT_EQ(ops_digest(stack), want) << "outside steps";
+
+        // Readers record the pending chunk: reading the store, the
+        // alerts or the operator report every `every` outside steps
+        // (never, once per chunk of 64, or across chunk boundaries)
+        // changes nothing.
+        for (const uint64_t every : {1, 7, 64, 65}) {
+            auto read = scenario.make();
+            core::TaccStack &s = *read->stack;
+            uint64_t steps = 0;
+            size_t seen = 0;
+            while (!s.quiescent() && s.simulator().step()) {
+                if (++steps % every != 0)
+                    continue;
+                switch (steps / every % 3) {
+                  case 0: seen += s.ops()->store().series_count(); break;
+                  case 1: seen += s.ops()->alerts().incidents().size(); break;
+                  default: seen += s.operator_report().size(); break;
+                }
+            }
+            EXPECT_GT(seen, 0u);
+            ASSERT_TRUE(s.run_to_completion());
+            EXPECT_EQ(ops_digest(s), want)
+                << "outside steps, a read every " << every;
+        }
+
+        // Outside steps mixed with run_until slices: the instants an
+        // outside step takes one by one and the quiet runs a slice
+        // takes share chunks.
+        auto mixed = scenario.make();
+        core::TaccStack &m = *mixed->stack;
+        for (int round = 0; !m.quiescent(); ++round) {
+            for (int i = 0;
+                 i < 1 + round % 5 && !m.quiescent() && m.simulator().step();
+                 ++i) {
+            }
+            const TimePoint t = m.simulator().now() +
+                                Duration::seconds(90 + 600 * (round % 3));
+            if (t >= quiesced)
+                break;
+            m.run_until(t);
+        }
+        ASSERT_TRUE(m.run_to_completion());
+        EXPECT_EQ(ops_digest(m), want) << "outside steps and run_until";
     }
 }
 
@@ -394,8 +440,8 @@ quiet_gap_stack()
 
 // A change made from outside between two outside steps inside a quiet
 // gap — submit, kill, cordon_node, drain_node, a quota change — shows in
-// the very next sample: an outside step records its own instant only,
-// so no sample was written ahead of the change.
+// the very next sample: an outside step takes its own instant only, so
+// no value was read ahead of the change.
 TEST(OpsGolden, OutsideChangeInAQuietGapShowsInTheNextSample)
 {
     const std::vector<std::string> changes = {"submit", "kill", "cordon",

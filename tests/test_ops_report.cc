@@ -317,7 +317,7 @@ TEST(OpsReport, LongHorizonIncidentsPinnedPastRingWrap)
     TimePoint now = stack.simulator().now();
     for (int i = 0; i < 24; ++i) {
         now += 5_min;
-        ops->sample(now);
+        ops->append(now);
     }
     const int64_t kStillFiring = TimePoint::max().to_micros();
     const std::vector<PinnedIncident> expected = {

@@ -10,14 +10,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <initializer_list>
 #include <limits>
+#include <map>
 #include <numeric>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "cluster/cluster.h"
+#include "common/rng.h"
 #include "core/config_io.h"
 #include "core/scenario.h"
 #include "driver/digest.h"
@@ -306,6 +310,184 @@ TEST(PowerManager, EnergyLedgerReconcilesByConstruction)
     EXPECT_NEAR(pm.take_job_energy_kwh(1), groups.at("alpha"), 1e-12);
     EXPECT_DOUBLE_EQ(pm.take_job_energy_kwh(1), 0.0);
 }
+
+/**
+ * The energy ledger with a map lookup per segment and accrual, kept as
+ * the reference for PowerManager's cached ledger slots: the same
+ * per-segment deltas, draw sums and additions in the same order.
+ */
+class LookupLedger
+{
+  public:
+    LookupLedger(const cluster::Cluster &cluster, const PowerModel &model,
+                 const PowerConfig &config)
+        : cluster_(cluster), model_(model), config_(config)
+    {
+    }
+
+    void
+    start(cluster::JobId job, const std::string &group,
+          const cluster::Placement &placement, double activity,
+          double clock, TimePoint now)
+    {
+        advance(now);
+        const double factor =
+            clock < 1.0 ? std::pow(clock, config_.dvfs_exponent) : 1.0;
+        double delta = 0;
+        for (const auto &slice : placement.slices) {
+            const auto &node = cluster_.node(slice.node);
+            delta += model_.gpu_delta_w(node.spec().gpu.model) * activity *
+                     factor * double(slice.gpu_indices.size());
+        }
+        active_[job] = {group, delta};
+    }
+
+    void
+    stop(cluster::JobId job, TimePoint now)
+    {
+        advance(now);
+        active_.erase(job);
+    }
+
+    void
+    advance(TimePoint now)
+    {
+        const double dt = (now - last_).to_seconds();
+        if (dt > 0) {
+            double delta = 0;
+            for (const auto &[id, seg] : active_)
+                delta += seg.second;
+            energy_j += (model_.baseline_w() + delta) * dt;
+            for (const auto &[id, seg] : active_) {
+                const double e = seg.second * dt;
+                group_j[seg.first] += e;
+                job_j[id] += e;
+            }
+            last_ = now;
+        }
+    }
+
+    double energy_j = 0;
+    std::map<std::string, double> group_j;
+    std::map<cluster::JobId, double> job_j;
+
+  private:
+    const cluster::Cluster &cluster_;
+    const PowerModel &model_;
+    PowerConfig config_;
+    std::map<cluster::JobId, std::pair<std::string, double>> active_;
+    TimePoint last_ = TimePoint::origin();
+};
+
+bool
+same_bits(double a, double b)
+{
+    return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
+}
+
+// Random starts (DVFS clocks, multi-node gangs), stops, requeues (a job
+// runs several segments), same-instant changes, advances and finalized
+// jobs: the cluster, group and job ledgers equal, bit for bit, the
+// reference that looks every entry up at every accrual.
+TEST(PowerManagerProperty, CachedLedgerSlotsMatchLookupLedger)
+{
+    const cluster::Cluster cl(small_cluster_config());
+    PowerConfig config;
+    config.enabled = true;
+    config.policy = "dvfs";
+    Rng rng(20261020);
+    for (int trial = 0; trial < 20; ++trial) {
+        SCOPED_TRACE("trial " + std::to_string(trial));
+        PowerManager pm(cl, config);
+        LookupLedger reference(cl, pm.model(), config);
+        constexpr cluster::JobId kJobs = 24;
+        std::vector<int> segments(kJobs + 1, 0);
+        std::vector<uint8_t> running(kJobs + 1, 0), done(kJobs + 1, 0);
+        auto group_of = [](cluster::JobId job) {
+            return "g" + std::to_string(job % 5);
+        };
+        TimePoint now = TimePoint::origin();
+        for (int op = 0; op < 400; ++op) {
+            if (rng.bernoulli(0.7))
+                now += Duration::from_seconds(rng.uniform(0, 900));
+            const cluster::JobId job =
+                cluster::JobId(rng.uniform_int(1, int64_t(kJobs)));
+            const double what = rng.uniform();
+            if (done[job]) {
+                pm.advance(now);
+                reference.advance(now);
+            } else if (!running[job] && what < 0.6) {
+                cluster::Placement placement;
+                const int nodes = int(rng.uniform_int(1, 3));
+                for (int n = 0; n < nodes; ++n) {
+                    cluster::PlacementSlice slice;
+                    slice.node = cluster::NodeId(rng.uniform_int(0, 7));
+                    for (int g = 0; g < int(rng.uniform_int(1, 8)); ++g)
+                        slice.gpu_indices.push_back(g);
+                    placement.slices.push_back(std::move(slice));
+                }
+                const double activity = rng.uniform(0.1, 1.0);
+                const double clock =
+                    rng.bernoulli(0.5) ? 1.0 : rng.uniform(0.5, 1.0);
+                pm.on_segment_start(job, group_of(job), placement, activity,
+                                    clock, now);
+                reference.start(job, group_of(job), placement, activity,
+                                clock, now);
+                running[job] = 1;
+                ++segments[job];
+            } else if (running[job] && what < 0.7) {
+                pm.on_segment_stop(job, now);
+                reference.stop(job, now);
+                running[job] = 0;
+            } else if (!running[job] && segments[job] > 0 && what < 0.8) {
+                auto it = reference.job_j.find(job);
+                const double want =
+                    it == reference.job_j.end() ? 0.0 : it->second / 3.6e6;
+                ASSERT_TRUE(same_bits(pm.take_job_energy_kwh(job), want));
+                if (it != reference.job_j.end())
+                    reference.job_j.erase(it);
+                done[job] = 1;
+            } else {
+                pm.advance(now);
+                reference.advance(now);
+            }
+
+            ASSERT_TRUE(same_bits(pm.energy_kwh(),
+                                  reference.energy_j / 3.6e6));
+            const auto groups = pm.group_energy_kwh();
+            ASSERT_EQ(groups.size(), reference.group_j.size());
+            for (const auto &[group, joules] : reference.group_j) {
+                auto it = groups.find(group);
+                ASSERT_NE(it, groups.end()) << group;
+                ASSERT_TRUE(same_bits(it->second, joules / 3.6e6)) << group;
+            }
+            for (cluster::JobId id = 1; id <= kJobs; ++id) {
+                auto it = reference.job_j.find(id);
+                const double want =
+                    it == reference.job_j.end() ? 0.0 : it->second / 3.6e6;
+                ASSERT_TRUE(same_bits(pm.job_energy_kwh(id), want))
+                    << "job " << id;
+            }
+        }
+        EXPECT_GT(*std::max_element(segments.begin(), segments.end()), 2);
+    }
+}
+
+#if GTEST_HAS_DEATH_TEST && !defined(NDEBUG)
+// Taking a job's ledger entry while a segment still accrues into it
+// would leave that segment's cached slot dangling.
+TEST(PowerManagerDeathTest, TakingAnActiveJobsEnergyAsserts)
+{
+    testing::FLAGS_gtest_death_test_style = "threadsafe";
+    const cluster::Cluster cl(small_cluster_config());
+    PowerConfig config;
+    config.enabled = true;
+    PowerManager pm(cl, config);
+    pm.on_segment_start(1, "alpha", gang({{0, 8}}), 1.0, 1.0, at(100));
+    pm.advance(at(200));
+    EXPECT_DEATH(pm.take_job_energy_kwh(1), "active_");
+}
+#endif
 
 TEST(PowerGate, AdmitsAndCommitsAcrossScopes)
 {
